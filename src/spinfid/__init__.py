@@ -6,7 +6,6 @@ high temperature, validated against an exact small-cluster quantum
 simulation oracle.
 """
 
-from ._kernels import BACKEND, available_backends
 from .core import SpinParams, TimeGrid
 from .errors import (
     ConfigError,
@@ -57,7 +56,6 @@ from .oracle import (
     DensityMatrix,
     EvolvedCluster,
     MeasurementBasis,
-    SCSState,
     SphereQuadrature,
     SpinOperators,
     build_hamiltonian,
@@ -71,7 +69,6 @@ from .oracle import (
     povm_measure_and_classical_info,
     reduce_to_pair,
     scs_completeness_check,
-    scs_state,
     von_neumann_measure,
 )
 

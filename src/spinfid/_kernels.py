@@ -1,19 +1,14 @@
-"""Hot numerical kernels, in two interchangeable implementations.
+"""Hot numerical kernels, vectorized with numpy.
 
-Every kernel exists twice: a numba ``@njit`` version and a pure-numpy
-version with identical semantics. The active backend is chosen once at
-import time from the ``SPINFID_BACKEND`` environment variable ("numba" or
-"numpy"; default "numba" when importable). ``benchmarks/bench_backends.py``
-times the two side by side.
+Every closed form and the oracle's spectral sums run through these
+functions. Callers look them up as ``K.<name>`` on this module, so a
+kernel can be wrapped (timed, traced) in one place.
 
 Kernels never raise domain errors; argument validation lives in the
 calling modules.
 """
 
 from __future__ import annotations
-
-import math
-import os
 
 import numpy as np
 
@@ -24,11 +19,7 @@ import numpy as np
 _SIN_EPS = 1e-3
 
 
-# =============================================================================
-# pure-numpy implementations
-# =============================================================================
-
-def _np_dirichlet_ratio(d, x):
+def dirichlet_ratio(d, x):
     """sin(d x) / (d sin x) elementwise, with removable singularities filled.
 
     Near sin x = 0 the ratio is evaluated as U_{d-1}(cos x)/d via the
@@ -49,7 +40,7 @@ def _np_dirichlet_ratio(d, x):
     return out
 
 
-def _np_dirichlet_ratio_m1(d, x):
+def dirichlet_ratio_m1(d, x):
     """sin(d x)/(d sin x) - 1, cancellation-free.
 
     Uses the identity g(x) - 1 = -(2/d) * sum_m sin^2(m x) over the 2S+1
@@ -60,31 +51,31 @@ def _np_dirichlet_ratio_m1(d, x):
     return -(2.0 / d) * np.sum(np.sin(np.multiply.outer(x, m)) ** 2, axis=-1)
 
 
-def _np_fid_product(d, couplings, times):
+def fid_product(d, couplings, times):
     """prod_f sin(d b_f t)/(d sin b_f t) at each t."""
     times = np.asarray(times, dtype=float)
     out = np.ones_like(times)
     for b in couplings:
-        out *= _np_dirichlet_ratio(d, b * times)
+        out *= dirichlet_ratio(d, b * times)
     return out
 
 
-def _np_fid_deficit(d, couplings, times):
+def fid_deficit(d, couplings, times):
     """prod_f g(b_f t) - 1 without cancellation (valid while every g > 0).
 
     Falls back to the direct product when a factor is non-positive, which
     only happens far from t = 0 where the deficit is O(1) anyway.
     """
     times = np.asarray(times, dtype=float)
-    m1 = np.array([_np_dirichlet_ratio_m1(d, b * times) for b in couplings])
+    m1 = np.array([dirichlet_ratio_m1(d, b * times) for b in couplings])
     ok = np.all(m1 > -1.0, axis=0)
     out = np.expm1(np.sum(np.log1p(m1, where=m1 > -1.0, out=np.zeros_like(m1)), axis=0))
     if not np.all(ok):
-        out = np.where(ok, out, _np_fid_product(d, couplings, times) - 1.0)
+        out = np.where(ok, out, fid_product(d, couplings, times) - 1.0)
     return out
 
 
-def _np_lattice_fid(d, b_matrix, times):
+def lattice_fid(d, b_matrix, times):
     """Site-averaged Ising FID: mean over probe i of prod_{j != i} g(b_ij t)."""
     times = np.asarray(times, dtype=float)
     n = b_matrix.shape[0]
@@ -93,12 +84,12 @@ def _np_lattice_fid(d, b_matrix, times):
         row = np.ones_like(times)
         for j in range(n):
             if j != i:
-                row *= _np_dirichlet_ratio(d, b_matrix[i, j] * times)
+                row *= dirichlet_ratio(d, b_matrix[i, j] * times)
         acc += row
     return acc / n
 
 
-def _np_cos_sum(weights, freqs, times):
+def cos_sum(weights, freqs, times):
     """sum_p w_p cos(omega_p t) at each t, chunked to bound temporaries."""
     times = np.asarray(times, dtype=float)
     out = np.empty_like(times)
@@ -109,7 +100,7 @@ def _np_cos_sum(weights, freqs, times):
     return out
 
 
-def _np_poly_in_sin2(coeffs, x):
+def poly_in_sin2(coeffs, x):
     """sum_n c_n (sin^2 x)^n by Horner's rule."""
     s2 = np.sin(np.asarray(x, dtype=float)) ** 2
     out = np.full_like(s2, coeffs[-1])
@@ -118,7 +109,7 @@ def _np_poly_in_sin2(coeffs, x):
     return out
 
 
-def _np_scs_overlaps(rho4, amps):
+def scs_overlaps(rho4, amps):
     """Partial inner products <v_n| rho |v_n> over the first spin.
 
     rho4 is the pair matrix reshaped (d, d, d, d); amps is (n, d). Returns
@@ -127,7 +118,7 @@ def _np_scs_overlaps(rho4, amps):
     return np.einsum("na,acbe,nb->nce", amps.conj(), rho4, amps, optimize=True)
 
 
-def _np_entropy_norm_batch(mats):
+def entropy_norm_batch(mats):
     """Per-matrix (trace, entropy-in-bits of the trace-normalized matrix).
 
     Eigenvalues are clipped at zero; 0 log 0 = 0. Inputs are Hermitian and
@@ -140,7 +131,7 @@ def _np_entropy_norm_batch(mats):
     return tr, ent
 
 
-def _np_vn_info_grid(rho4, dirs, s2_bits):
+def vn_info_grid(rho4, dirs, s2_bits):
     """Post-measurement mutual information for a batch of spin-1/2 axes.
 
     rho4 is a two-qubit state reshaped (2, 2, 2, 2); dirs is (n, 3) unit
@@ -160,280 +151,7 @@ def _np_vn_info_grid(rho4, dirs, s2_bits):
     a_up = np.einsum("nab,ce->nacbe", p_up, eye2).reshape(n, 4, 4)
     a_dn = np.einsum("nab,ce->nacbe", p_dn, eye2).reshape(n, 4, 4)
     meas = a_up @ rho @ a_up + a_dn @ rho @ a_dn
-    _, s12 = _np_entropy_norm_batch(meas)
+    _, s12 = entropy_norm_batch(meas)
     m1 = np.einsum("nacbc->nab", meas.reshape(n, 2, 2, 2, 2))
-    _, s1 = _np_entropy_norm_batch(m1)
+    _, s1 = entropy_norm_batch(m1)
     return s1 + s2_bits - s12
-
-
-# =============================================================================
-# numba implementations
-# =============================================================================
-
-try:
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency
-    HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _dirichlet_scalar(d, x):
-        s = math.sin(x)
-        if abs(s) >= _SIN_EPS:
-            return math.sin(d * x) / (d * s)
-        c = math.cos(x)
-        u_prev = 1.0
-        u = 2.0 * c
-        for _ in range(2, d):
-            u_prev, u = u, 2.0 * c * u - u_prev
-        if d >= 2:
-            return u / d
-        return u_prev / d
-
-    @njit(cache=True)
-    def _dirichlet_m1_scalar(d, x):
-        acc = 0.0
-        for k in range(d):
-            sm = math.sin((0.5 * (d - 1) - k) * x)
-            acc += sm * sm
-        return -2.0 * acc / d
-
-    @njit(cache=True)
-    def _nb_dirichlet_ratio(d, x):
-        out = np.empty_like(x)
-        for i in range(x.size):
-            out[i] = _dirichlet_scalar(d, x[i])
-        return out
-
-    @njit(cache=True)
-    def _nb_dirichlet_ratio_m1(d, x):
-        out = np.empty_like(x)
-        for i in range(x.size):
-            out[i] = _dirichlet_m1_scalar(d, x[i])
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _nb_fid_product(d, couplings, times):
-        out = np.empty_like(times)
-        for i in prange(times.size):
-            acc = 1.0
-            for f in range(couplings.size):
-                acc *= _dirichlet_scalar(d, couplings[f] * times[i])
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def _nb_fid_deficit(d, couplings, times):
-        out = np.empty_like(times)
-        for i in range(times.size):
-            log_acc = 0.0
-            ok = True
-            for f in range(couplings.size):
-                m1 = _dirichlet_m1_scalar(d, couplings[f] * times[i])
-                if m1 <= -1.0:
-                    ok = False
-                    break
-                log_acc += math.log1p(m1)
-            if ok:
-                out[i] = math.expm1(log_acc)
-            else:
-                acc = 1.0
-                for f in range(couplings.size):
-                    acc *= _dirichlet_scalar(d, couplings[f] * times[i])
-                out[i] = acc - 1.0
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _nb_lattice_fid(d, b_matrix, times):
-        n = b_matrix.shape[0]
-        out = np.empty_like(times)
-        for i in prange(times.size):
-            acc = 0.0
-            for probe in range(n):
-                row = 1.0
-                for j in range(n):
-                    if j != probe:
-                        row *= _dirichlet_scalar(d, b_matrix[probe, j] * times[i])
-                acc += row
-            out[i] = acc / n
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _nb_cos_sum(weights, freqs, times):
-        out = np.empty_like(times)
-        for i in prange(times.size):
-            acc = 0.0
-            for p in range(freqs.size):
-                acc += weights[p] * math.cos(freqs[p] * times[i])
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def _nb_poly_in_sin2(coeffs, x):
-        out = np.empty_like(x)
-        for i in range(x.size):
-            s = math.sin(x[i])
-            s2 = s * s
-            acc = coeffs[coeffs.size - 1]
-            for k in range(coeffs.size - 2, -1, -1):
-                acc = acc * s2 + coeffs[k]
-            out[i] = acc
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _nb_scs_overlaps(rho4, amps):
-        n = amps.shape[0]
-        d = amps.shape[1]
-        out = np.empty((n, d, d), dtype=np.complex128)
-        for q in prange(n):
-            for c in range(d):
-                for e in range(d):
-                    acc = 0.0 + 0.0j
-                    for a in range(d):
-                        inner = 0.0 + 0.0j
-                        for b in range(d):
-                            inner += rho4[a, c, b, e] * amps[q, b]
-                        acc += np.conj(amps[q, a]) * inner
-                    out[q, c, e] = acc
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _nb_entropy_norm_batch(mats):
-        n = mats.shape[0]
-        tr = np.empty(n)
-        ent = np.empty(n)
-        for q in prange(n):
-            m = np.ascontiguousarray(mats[q])
-            t = 0.0
-            for c in range(m.shape[0]):
-                t += m[c, c].real
-            tr[q] = t
-            w = np.linalg.eigvalsh(m)
-            acc = 0.0
-            for c in range(w.size):
-                p = w[c] / t
-                if p > 0.0:
-                    acc -= p * math.log2(p)
-            ent[q] = acc
-        return tr, ent
-
-    @njit(cache=True)
-    def _entropy_bits_small(m):
-        t = 0.0
-        for c in range(m.shape[0]):
-            t += m[c, c].real
-        w = np.linalg.eigvalsh(m)
-        acc = 0.0
-        for c in range(w.size):
-            p = w[c] / t
-            if p > 0.0:
-                acc -= p * math.log2(p)
-        return acc
-
-    @njit(cache=True, parallel=True)
-    def _nb_vn_info_grid(rho4, dirs, s2_bits):
-        n = dirs.shape[0]
-        out = np.empty(n)
-        for q in prange(n):
-            nx, ny, nz = dirs[q, 0], dirs[q, 1], dirs[q, 2]
-            p_up = np.empty((2, 2), dtype=np.complex128)
-            p_up[0, 0] = 0.5 * (1.0 + nz)
-            p_up[1, 1] = 0.5 * (1.0 - nz)
-            p_up[0, 1] = 0.5 * (nx - 1j * ny)
-            p_up[1, 0] = 0.5 * (nx + 1j * ny)
-            p_dn = np.empty((2, 2), dtype=np.complex128)
-            for a in range(2):
-                for b in range(2):
-                    p_dn[a, b] = (1.0 if a == b else 0.0) - p_up[a, b]
-            meas = np.zeros((4, 4), dtype=np.complex128)
-            for a in range(2):
-                for c in range(2):
-                    for b in range(2):
-                        for e in range(2):
-                            acc = 0.0 + 0.0j
-                            for ap in range(2):
-                                for bp in range(2):
-                                    r = rho4[ap, c, bp, e]
-                                    acc += p_up[a, ap] * r * p_up[bp, b]
-                                    acc += p_dn[a, ap] * r * p_dn[bp, b]
-                            meas[2 * a + c, 2 * b + e] = acc
-            s12 = _entropy_bits_small(meas)
-            m1 = np.zeros((2, 2), dtype=np.complex128)
-            for a in range(2):
-                for b in range(2):
-                    for c in range(2):
-                        m1[a, b] += meas[2 * a + c, 2 * b + c]
-            s1 = _entropy_bits_small(m1)
-            out[q] = s1 + s2_bits - s12
-        return out
-
-
-# =============================================================================
-# backend selection
-# =============================================================================
-
-_IMPLS = {
-    "numpy": {
-        "dirichlet_ratio": _np_dirichlet_ratio,
-        "dirichlet_ratio_m1": _np_dirichlet_ratio_m1,
-        "fid_product": _np_fid_product,
-        "fid_deficit": _np_fid_deficit,
-        "lattice_fid": _np_lattice_fid,
-        "cos_sum": _np_cos_sum,
-        "poly_in_sin2": _np_poly_in_sin2,
-        "scs_overlaps": _np_scs_overlaps,
-        "entropy_norm_batch": _np_entropy_norm_batch,
-        "vn_info_grid": _np_vn_info_grid,
-    }
-}
-if HAVE_NUMBA:
-    _IMPLS["numba"] = {
-        "dirichlet_ratio": _nb_dirichlet_ratio,
-        "dirichlet_ratio_m1": _nb_dirichlet_ratio_m1,
-        "fid_product": _nb_fid_product,
-        "fid_deficit": _nb_fid_deficit,
-        "lattice_fid": _nb_lattice_fid,
-        "cos_sum": _nb_cos_sum,
-        "poly_in_sin2": _nb_poly_in_sin2,
-        "scs_overlaps": _nb_scs_overlaps,
-        "entropy_norm_batch": _nb_entropy_norm_batch,
-        "vn_info_grid": _nb_vn_info_grid,
-    }
-
-
-def _pick_backend() -> str:
-    env = os.environ.get("SPINFID_BACKEND", "").strip().lower()
-    if env == "":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if env not in ("numba", "numpy"):
-        raise RuntimeError(f"SPINFID_BACKEND must be 'numba' or 'numpy', got {env!r}")
-    if env == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("SPINFID_BACKEND=numba requested but numba is not importable")
-    return env
-
-
-BACKEND = _pick_backend()
-
-
-def impl(name: str, backend: str | None = None):
-    """Look up a kernel by name, optionally forcing a backend."""
-    return _IMPLS[backend or BACKEND][name]
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_IMPLS))
-
-
-dirichlet_ratio = impl("dirichlet_ratio")
-dirichlet_ratio_m1 = impl("dirichlet_ratio_m1")
-fid_product = impl("fid_product")
-fid_deficit = impl("fid_deficit")
-lattice_fid = impl("lattice_fid")
-cos_sum = impl("cos_sum")
-poly_in_sin2 = impl("poly_in_sin2")
-scs_overlaps = impl("scs_overlaps")
-entropy_norm_batch = impl("entropy_norm_batch")
-vn_info_grid = impl("vn_info_grid")

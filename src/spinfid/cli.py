@@ -452,21 +452,15 @@ def run(cfg: RunConfig, out_dir=None) -> dict:
 
 
 def _thread_count() -> int:
+    """Sweep workers from SPINFID_NUM_THREADS (default 1)."""
+    raw = os.environ.get("SPINFID_NUM_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("SPINFID_NUM_THREADS", "1")))
+        n = int(raw)
     except ValueError:
-        return 1
-
-
-def _configure_threads() -> None:
-    n = _thread_count()
-    if n > 1:
-        try:
-            import numba
-
-            numba.set_num_threads(min(n, numba.config.NUMBA_NUM_THREADS))
-        except ImportError:
-            pass
+        n = 0
+    if n < 1:
+        raise ConfigError(f"SPINFID_NUM_THREADS must be a positive integer, got {raw!r}")
+    return n
 
 
 def main(argv=None) -> int:
@@ -481,7 +475,6 @@ def main(argv=None) -> int:
                       help="override the config's mode")
     args = parser.parse_args(argv)
 
-    _configure_threads()
     try:
         cfg = load_config(args.config)
         if args.mode is not None and args.mode != cfg.mode:

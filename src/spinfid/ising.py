@@ -29,8 +29,7 @@ _SMALL_TIME_WARN = 0.3  # |b t| beyond this makes the leading-order formulas poo
 
 
 def _as_grid(t):
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    return np.ascontiguousarray(arr), np.isscalar(t) or np.ndim(t) == 0
+    return np.atleast_1d(np.asarray(t, dtype=float)), np.isscalar(t) or np.ndim(t) == 0
 
 
 def _ret(values, scalar):
@@ -152,7 +151,7 @@ def fid_zz_lattice(spin: SpinParams, table, t):
     coupling tables.
     """
     x, scalar = _as_grid(t)
-    return _ret(K.lattice_fid(spin.d, np.ascontiguousarray(table.b), x), scalar)
+    return _ret(K.lattice_fid(spin.d, table.b, x), scalar)
 
 
 def fid_gaussian(spin: SpinParams, sum_b2: float, t):

@@ -168,12 +168,11 @@ class EvolvedCluster:
         w2 = np.abs(self.sx_eigbasis) ** 2
         diag_w = float(np.sum(np.diag(w2)))
         iu, ju = np.triu_indices(w2.shape[0], k=1)
-        weights = np.ascontiguousarray(2.0 * w2[iu, ju])
-        freqs = np.ascontiguousarray(self.eigvals[iu] - self.eigvals[ju])
+        weights = 2.0 * w2[iu, ju]
+        freqs = self.eigvals[iu] - self.eigvals[ju]
         keep = weights > 1e-18
         total = diag_w + float(np.sum(weights))
-        series = diag_w + K.cos_sum(np.ascontiguousarray(weights[keep]),
-                                    np.ascontiguousarray(freqs[keep]), grid.times)
+        series = diag_w + K.cos_sum(weights[keep], freqs[keep], grid.times)
         return series / total
 
     def pair_deviation(self, t: float, pair: tuple[int, int]) -> np.ndarray:
@@ -192,10 +191,8 @@ class EvolvedCluster:
 
 
 def evolve_and_measure_fid(spin: SpinParams, table: CouplingTable, mode: str,
-                           grid: TimeGrid, beta: float | None = None) -> np.ndarray:
-    """FID of the cluster; ``beta`` is accepted for symmetry but the
-    normalized signal is exactly independent of it."""
-    del beta
+                           grid: TimeGrid) -> np.ndarray:
+    """Normalized FID of the cluster (independent of beta)."""
     return EvolvedCluster.build(spin, table, mode).fid(grid)
 
 
@@ -323,7 +320,7 @@ def classical_info_von_neumann(rho12: DensityMatrix, n_theta: int = 32,
     """
     if rho12.dim != 4:
         raise UnsupportedSpinError("direction search is implemented for a spin-1/2 pair (dim 4)")
-    rho4 = np.ascontiguousarray(rho12.entries.reshape(2, 2, 2, 2))
+    rho4 = rho12.entries.reshape(2, 2, 2, 2)
     rho2 = partial_trace(rho12.entries, [2, 2], keep=(1,))
     s2 = entropy_exact(DensityMatrix(entries=rho2))
 
@@ -335,7 +332,7 @@ def classical_info_von_neumann(rho12: DensityMatrix, n_theta: int = 32,
         (np.sin(th) * np.sin(ph)).ravel(),
         np.cos(th).ravel(),
     ])
-    info = K.vn_info_grid(rho4, np.ascontiguousarray(dirs), s2)
+    info = K.vn_info_grid(rho4, dirs, s2)
     best = int(np.argmax(info))
 
     def objective(angles):
@@ -353,20 +350,6 @@ def classical_info_von_neumann(rho12: DensityMatrix, n_theta: int = 32,
 
 # -- spin coherent states and the POVM ----------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SCSState:
-    """Spin coherent state |theta, phi> with its amplitude vector."""
-
-    theta: float
-    phi: float
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > 1e-12:
-            raise InvalidSpecError("coherent-state amplitudes must be unit norm")
-
-
 def scs_amplitudes(spin: SpinParams, theta, phi) -> np.ndarray:
     """Amplitude vectors of |theta, phi>, broadcasting over angle arrays.
 
@@ -381,11 +364,6 @@ def scs_amplitudes(spin: SpinParams, theta, phi) -> np.ndarray:
     c = np.cos(theta / 2.0)[..., None] ** (two_s - k)
     s = np.sin(theta / 2.0)[..., None] ** k
     return binom * c * s * np.exp(1j * phi[..., None] * k)
-
-
-def scs_state(spin: SpinParams, theta: float, phi: float) -> SCSState:
-    return SCSState(theta=float(theta), phi=float(phi),
-                    amplitudes=scs_amplitudes(spin, theta, phi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,7 +401,7 @@ class SphereQuadrature:
         """Cached coherent-state amplitudes and completeness deviation."""
         hit = self._basis_cache.get(spin.two_s)
         if hit is None:
-            amps = np.ascontiguousarray(scs_amplitudes(spin, self.theta, self.phi))
+            amps = scs_amplitudes(spin, self.theta, self.phi)
             gram = np.einsum("n,na,nb->ab", self.weights, amps, amps.conj())
             gram *= spin.d / (4.0 * np.pi)
             dev = float(np.max(np.abs(gram - np.eye(spin.d))))
@@ -463,9 +441,8 @@ def povm_conditional_states(rho12: DensityMatrix, spin: SpinParams,
     """
     d = spin.d
     amps, _ = quadrature.scs_basis(spin)
-    rho4 = np.ascontiguousarray(rho12.entries.reshape(d, d, d, d))
-    mats = K.scs_overlaps(rho4, amps)
-    traces, cond_entropy = K.entropy_norm_batch(np.ascontiguousarray(mats))
+    mats = K.scs_overlaps(rho12.entries.reshape(d, d, d, d), amps)
+    traces, cond_entropy = K.entropy_norm_batch(mats)
     density = d / (4.0 * np.pi) * traces
     return density, traces, cond_entropy, mats
 

@@ -209,6 +209,14 @@ def test_main_missing_file_exit_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "none.json")]) == 2
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_main_bad_thread_count_exit_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("SPINFID_NUM_THREADS", value)
+    path = write_cfg(tmp_path, minimal(mode="povm_validate", spin_sweep=[1]))
+    assert main(["run", path, "--out", str(tmp_path)]) == 2
+    assert "SPINFID_NUM_THREADS" in capsys.readouterr().err
+
+
 def test_load_config_reads_file(tmp_path):
     path = write_cfg(tmp_path, minimal())
     cfg = load_config(path)

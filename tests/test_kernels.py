@@ -1,50 +1,27 @@
-"""Backend equivalence and numerical edge cases for the hot kernels."""
-
-import os
-import subprocess
-import sys
+"""Numerical edge cases for the hot kernels."""
 
 import numpy as np
 import pytest
 
 from spinfid import _kernels as K
 
-pytestmark = pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba unavailable")
-
-RNG = np.random.default_rng(1234)
-
-
-def pair(name):
-    return K.impl(name, "numpy"), K.impl(name, "numba")
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_dirichlet_backends_agree(d):
-    x = np.ascontiguousarray(RNG.uniform(-10, 10, 500))
-    f_np, f_nb = pair("dirichlet_ratio")
-    np.testing.assert_allclose(f_np(d, x), f_nb(d, x), rtol=0, atol=1e-13)
-    g_np, g_nb = pair("dirichlet_ratio_m1")
-    np.testing.assert_allclose(g_np(d, x), g_nb(d, x), rtol=0, atol=1e-13)
-
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_dirichlet_singular_points(d):
     # at x = k*pi each factor takes the limit value (-1)^(k(d-1))
-    for impl in pair("dirichlet_ratio"):
-        for k in (-2, -1, 1, 2, 3):
-            x = np.array([k * np.pi])
-            expect = (-1.0) ** (k * (d - 1))
-            assert impl(d, x)[0] == pytest.approx(expect, abs=1e-9)
-        near = np.array([np.pi - 1e-8, np.pi + 1e-8])
-        vals = impl(d, near)
-        assert np.all(np.isfinite(vals))
+    for k in (-2, -1, 1, 2, 3):
+        x = np.array([k * np.pi])
+        expect = (-1.0) ** (k * (d - 1))
+        assert K.dirichlet_ratio(d, x)[0] == pytest.approx(expect, abs=1e-9)
+    near = np.array([np.pi - 1e-8, np.pi + 1e-8])
+    assert np.all(np.isfinite(K.dirichlet_ratio(d, near)))
 
 
 def test_dirichlet_m1_consistency():
-    x = np.ascontiguousarray(np.linspace(1e-9, 0.5, 200))
+    x = np.linspace(1e-9, 0.5, 200)
     for d in (2, 3, 6):
-        direct = K.impl("dirichlet_ratio", "numpy")(d, x) - 1.0
-        stable = K.impl("dirichlet_ratio_m1", "numpy")(d, x)
+        direct = K.dirichlet_ratio(d, x) - 1.0
+        stable = K.dirichlet_ratio_m1(d, x)
         np.testing.assert_allclose(stable, direct, rtol=1e-6, atol=1e-15)
 
 
@@ -58,90 +35,6 @@ def test_dirichlet_accurate_around_poles(d):
         for eps in np.geomspace(1e-13, 5e-3, 15):
             xs += [k * np.pi + eps, k * np.pi - eps]
         xs.append(k * np.pi)
-    xs = np.ascontiguousarray(np.array(xs))
-    ref = 1.0 + K.impl("dirichlet_ratio_m1", "numpy")(d, xs)
-    for backend in ("numpy", "numba"):
-        got = K.impl("dirichlet_ratio", backend)(d, xs)
-        np.testing.assert_allclose(got, ref, rtol=0, atol=5e-12)
-
-
-def test_fid_product_and_deficit_backends():
-    b = np.ascontiguousarray(RNG.uniform(-1, 1, 7))
-    t = np.ascontiguousarray(np.linspace(0, 8, 300))
-    for name in ("fid_product", "fid_deficit"):
-        f_np, f_nb = pair(name)
-        np.testing.assert_allclose(f_np(3, b, t), f_nb(3, b, t), rtol=0, atol=5e-13)
-
-
-def test_lattice_fid_backends():
-    b = RNG.uniform(-1, 1, (5, 5))
-    b = np.ascontiguousarray((b + b.T) / 2)
-    np.fill_diagonal(b, 0.0)
-    t = np.ascontiguousarray(np.linspace(0, 6, 200))
-    f_np, f_nb = pair("lattice_fid")
-    np.testing.assert_allclose(f_np(4, b, t), f_nb(4, b, t), rtol=0, atol=5e-13)
-
-
-def test_cos_sum_backends():
-    w = np.ascontiguousarray(RNG.uniform(0, 1, 400))
-    f = np.ascontiguousarray(RNG.uniform(-5, 5, 400))
-    t = np.ascontiguousarray(np.linspace(0, 10, 111))
-    f_np, f_nb = pair("cos_sum")
-    np.testing.assert_allclose(f_np(w, f, t), f_nb(w, f, t), rtol=1e-12, atol=1e-12)
-
-
-def test_poly_in_sin2_backends():
-    c = np.ascontiguousarray(RNG.uniform(-1, 1, 5))
-    x = np.ascontiguousarray(RNG.uniform(-7, 7, 200))
-    f_np, f_nb = pair("poly_in_sin2")
-    np.testing.assert_allclose(f_np(c, x), f_nb(c, x), rtol=0, atol=1e-13)
-
-
-def _random_hermitian_psd(n, d):
-    a = RNG.normal(size=(n, d, d)) + 1j * RNG.normal(size=(n, d, d))
-    return np.ascontiguousarray(a @ a.conj().transpose(0, 2, 1) + 1e-3 * np.eye(d))
-
-
-def test_scs_overlaps_and_entropy_backends():
-    d = 4
-    h = _random_hermitian_psd(1, d * d)[0]
-    rho4 = np.ascontiguousarray((h / np.trace(h)).reshape(d, d, d, d))
-    amps = RNG.normal(size=(64, d)) + 1j * RNG.normal(size=(64, d))
-    amps = np.ascontiguousarray(amps / np.linalg.norm(amps, axis=1, keepdims=True))
-    o_np, o_nb = pair("scs_overlaps")
-    np.testing.assert_allclose(o_np(rho4, amps), o_nb(rho4, amps), rtol=0, atol=1e-13)
-
-    mats = _random_hermitian_psd(50, 3)
-    e_np, e_nb = pair("entropy_norm_batch")
-    tr1, s1 = e_np(mats)
-    tr2, s2 = e_nb(mats)
-    np.testing.assert_allclose(tr1, tr2, rtol=1e-13)
-    np.testing.assert_allclose(s1, s2, rtol=0, atol=1e-12)
-
-
-def test_vn_info_grid_backends():
-    h = _random_hermitian_psd(1, 4)[0]
-    rho4 = np.ascontiguousarray((h / np.trace(h)).reshape(2, 2, 2, 2))
-    th = RNG.uniform(0, np.pi, 60)
-    ph = RNG.uniform(0, 2 * np.pi, 60)
-    dirs = np.ascontiguousarray(np.column_stack(
-        [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)]))
-    f_np, f_nb = pair("vn_info_grid")
-    np.testing.assert_allclose(f_np(rho4, dirs, 0.5), f_nb(rho4, dirs, 0.5),
-                               rtol=0, atol=1e-12)
-
-
-def test_env_flag_selects_numpy_backend():
-    code = "import spinfid._kernels as K; print(K.BACKEND)"
-    env = dict(os.environ, SPINFID_BACKEND="numpy")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_flag_rejects_unknown_backend():
-    code = "import spinfid._kernels"
-    env = dict(os.environ, SPINFID_BACKEND="cuda")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode != 0
+    xs = np.array(xs)
+    ref = 1.0 + K.dirichlet_ratio_m1(d, xs)
+    np.testing.assert_allclose(K.dirichlet_ratio(d, xs), ref, rtol=0, atol=5e-12)

@@ -140,11 +140,12 @@ def test_fid_curvature_at_zero_is_minus_v0_squared():
 
 
 def test_closure_convergence_doubling_k_ext():
-    h = Hierarchy(vk2=(1.0, 2.0, 3.0))
+    # the steep chain's full coefficient product overflows at k_ext = 256
     g = grid(3.0, 61)
-    a64 = solve_amplitudes(h, g, k_ext=64).a[0]
-    a128 = solve_amplitudes(h, g, k_ext=128).a[0]
-    assert np.max(np.abs(a64 - a128)) < 1e-9
+    for vk2, k_exts in (((1.0, 2.0, 3.0), (64, 128)), ((9.0, 18.0, 27.0), (64, 128, 256))):
+        a0 = [solve_amplitudes(Hierarchy(vk2=vk2), g, k_ext=k).a[0] for k in k_exts]
+        for coarse, fine in zip(a0, a0[1:]):
+            assert np.max(np.abs(coarse - fine)) < 1e-9
 
 
 def test_ising_gaussian_moments_reproduce_gaussian_fid():
@@ -177,13 +178,15 @@ def test_slope_info_zero_at_extrema():
 
 
 def test_slope_info_double_form_randomized():
+    # the slope form equals the amplitude form with A_1 = F'/M2, B = -3 b
     rng = np.random.default_rng(17)
     for _ in range(50):
         spin = SpinParams(int(rng.integers(1, 5)), beta=float(rng.uniform(1e-4, 1e-2)))
-        val = mutual_info_dipolar(spin, float(rng.uniform(-2, 2)),
-                                  float(rng.uniform(0.1, 5)),
-                                  float(rng.uniform(-1, 1)), spin.beta)
+        b, m2, fdot = rng.uniform(-2, 2), rng.uniform(0.1, 5), rng.uniform(-1, 1)
+        val = mutual_info_dipolar(spin, float(b), float(m2), float(fdot), spin.beta)
+        alt = spin.beta**2 / (9.0 * LN2) * (spin.casimir * (-3.0 * b) * fdot / m2) ** 2
         assert val >= 0.0
+        assert val == pytest.approx(alt, rel=1e-12)
 
 
 def test_total_information_endpoints():

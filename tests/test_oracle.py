@@ -37,8 +37,8 @@ from spinfid.oracle import (
     povm_entropy_terms,
     povm_measure_and_classical_info,
     reduce_to_pair,
+    scs_amplitudes,
     scs_completeness_check,
-    scs_state,
     site_operator,
     total_sx,
     von_neumann_measure,
@@ -129,10 +129,23 @@ def test_three_equivalent_spins_fid_is_cos_squared():
 
 
 def test_fid_beta_independent_by_construction():
+    # evolve the full initial state at two temperatures; the normalized
+    # Tr{S_x rho(t)} must equal the beta-free spectral FID. Tr S_x = 0, so
+    # the maximally mixed part is dropped before rotating; kept, its
+    # roundoff would enter the signal at ~eps/beta
     grid = TimeGrid.linspace(4.0, 21)
-    f1 = evolve_and_measure_fid(ONE, triangle(0.3, 0.9, -0.5), "dipolar", grid, beta=1e-3)
-    f2 = evolve_and_measure_fid(ONE, triangle(0.3, 0.9, -0.5), "dipolar", grid, beta=1e-5)
-    np.testing.assert_allclose(f1, f2, atol=0)
+    cluster = EvolvedCluster.build(ONE, triangle(0.3, 0.9, -0.5), "dipolar")
+    v = cluster.eigvecs
+    sx = v.conj().T @ total_sx(ONE, 3) @ v
+    for beta in (1e-3, 1e-5):
+        rho = build_initial_density(ONE, 3, beta).entries
+        rho0 = v.conj().T @ (rho - np.eye(27) / 27) @ v
+        signal = np.empty(grid.times.size)
+        for k, t in enumerate(grid.times):
+            phase = np.exp(-1j * cluster.eigvals * t)
+            rho_t = phase[:, None] * rho0 * phase.conj()[None, :]
+            signal[k] = np.trace(sx @ rho_t).real
+        np.testing.assert_allclose(signal / signal[0], cluster.fid(grid), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("spin", [HALF, ONE])
@@ -325,10 +338,9 @@ def test_classical_info_maximization():
 # -- coherent states and the POVM ------------------------------------------------------
 
 def test_scs_poles_and_equator():
-    state = scs_state(ONE, 0.0, 0.0)
-    np.testing.assert_allclose(state.amplitudes, [1.0, 0.0, 0.0], atol=1e-16)
-    plus = scs_state(HALF, np.pi / 2, 0.0)
-    np.testing.assert_allclose(plus.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
+    np.testing.assert_allclose(scs_amplitudes(ONE, 0.0, 0.0), [1.0, 0.0, 0.0], atol=1e-16)
+    np.testing.assert_allclose(scs_amplitudes(HALF, np.pi / 2, 0.0),
+                               [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
 
 
 @pytest.mark.parametrize("two_s", [1, 2, 3])
@@ -336,7 +348,8 @@ def test_scs_expectation_values(two_s):
     spin = SpinParams(two_s)
     ops = build_spin_operators(spin)
     theta, phi = 1.1, 2.3
-    amp = scs_state(spin, theta, phi).amplitudes
+    amp = scs_amplitudes(spin, theta, phi)
+    assert np.linalg.norm(amp) == pytest.approx(1.0, abs=1e-12)
     s = spin.s
     assert np.vdot(amp, ops.sz @ amp).real == pytest.approx(s * math.cos(theta), abs=1e-10)
     assert np.vdot(amp, ops.sx @ amp).real == pytest.approx(
