@@ -55,7 +55,6 @@ from .memory import (
 from .oracle import (
     DensityMatrix,
     EvolvedCluster,
-    MeasurementBasis,
     SphereQuadrature,
     SpinOperators,
     build_hamiltonian,
@@ -63,11 +62,9 @@ from .oracle import (
     build_spin_operators,
     classical_info_von_neumann,
     entropy_exact,
-    evolve_and_measure_fid,
     mutual_info_numeric,
     partial_trace,
     povm_measure_and_classical_info,
-    reduce_to_pair,
     scs_completeness_check,
     von_neumann_measure,
 )

@@ -22,6 +22,7 @@ from .errors import (
     NonEquivalentSitesError,
     UnsupportedSpinError,
 )
+from .oracle import build_spin_operators
 
 LN2 = math.log(2.0)
 
@@ -263,13 +264,9 @@ def pair_deviation_matrix(spin: SpinParams, b_ij: float, t: float,
     """
     if env_j is None:
         env_j = env_i
-    d = spin.d
-    m = 0.5 * (d - 1) - np.arange(d)
-    s_plus = np.zeros((d, d), dtype=complex)
-    idx = np.arange(1, d)
-    s_plus[idx - 1, idx] = np.sqrt(spin.casimir - m[idx] * (m[idx] + 1.0))
-    s_minus = s_plus.conj().T
-    phase = np.diag(np.exp(-2j * b_ij * t * m))
+    ops = build_spin_operators(spin)
+    s_plus, s_minus = ops.s_plus, ops.s_minus
+    phase = np.diag(np.exp(-2j * b_ij * t * np.diag(ops.sz)))
     dev = 0.5 * (
         env_i * (np.kron(s_plus, phase) + np.kron(s_minus, phase.conj()))
         + env_j * (np.kron(phase, s_plus) + np.kron(phase.conj(), s_minus))

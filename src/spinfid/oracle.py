@@ -52,14 +52,14 @@ class SpinOperators:
 
 
 def build_spin_operators(spin: SpinParams) -> SpinOperators:
-    """Standard (2S+1)-dimensional spin representation."""
+    """Standard (2S+1)-dimensional spin representation; only S_y is complex."""
     d = spin.d
     m = spin.s - np.arange(d)
-    sz = np.diag(m).astype(complex)
-    s_plus = np.zeros((d, d), dtype=complex)
+    sz = np.diag(m)
+    s_plus = np.zeros((d, d))
     idx = np.arange(1, d)
     s_plus[idx - 1, idx] = np.sqrt(spin.casimir - m[idx] * (m[idx] + 1.0))
-    s_minus = s_plus.conj().T
+    s_minus = s_plus.T
     sx = (s_plus + s_minus) / 2.0
     sy = (s_plus - s_minus) / 2.0j
     return SpinOperators(sx=sx, sy=sy, sz=sz, s_plus=s_plus, s_minus=s_minus)
@@ -85,27 +85,25 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def validate_psd(self, floor: float = -1e-10) -> None:
-        w = np.linalg.eigvalsh(self.entries)
-        if w[0] < floor:
-            raise NonPhysicalStateError(f"negative eigenvalue {w[0]:.3e}")
 
-
-def site_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    """Embed a single-spin operator at one site of the product space."""
-    d = op.shape[0]
-    left = np.eye(d**site, dtype=complex)
-    right = np.eye(d ** (n_sites - site - 1), dtype=complex)
-    return np.kron(np.kron(left, op), right)
+def _site_indices(d: int, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index k (m = S - k) of every site in every product state, and the
+    basis-index stride of each site (site 0 is the most significant)."""
+    k = np.indices((d,) * n_sites).reshape(n_sites, -1)
+    return k, d ** np.arange(n_sites - 1, -1, -1)
 
 
 def build_hamiltonian(spin: SpinParams, table: CouplingTable, mode: str) -> np.ndarray:
-    """Secular coupling Hamiltonian of the cluster.
+    """Secular coupling Hamiltonian of the cluster, real and dense.
 
     The pair sum runs over ordered index pairs, so each unordered pair
     {i, j} contributes 2 b_ij S_zi S_zj (plus the flip-flop part with
     a_ij in dipolar mode). This convention is what makes the product FID
     formula hold with the stored b matrix.
+
+    Entries are written by basis-state index: the Ising part is diagonal,
+    and S+_i S-_j links only the two states whose indices at sites i and j
+    differ by one step each.
     """
     if mode not in HAMILTONIAN_MODES:
         raise InvalidSpecError(f"mode must be one of {HAMILTONIAN_MODES}, got {mode!r}")
@@ -115,23 +113,34 @@ def build_hamiltonian(spin: SpinParams, table: CouplingTable, mode: str) -> np.n
     if dim > DIM_GUARD:
         raise ClusterTooLargeError(f"d^N = {dim} exceeds the guard {DIM_GUARD}")
     ops = build_spin_operators(spin)
-    sz = [site_operator(ops.sz, i, n) for i in range(n)]
-    ham = np.zeros((dim, dim), dtype=complex)
+    k, strides = _site_indices(d, n)
+    m = np.diag(ops.sz)[k]
+    ham = np.zeros((dim, dim))
+    diag = np.zeros(dim)
     for i in range(n):
         for j in range(i + 1, n):
-            ham += 2.0 * table.b[i, j] * sz[i] @ sz[j]
-    if mode == "dipolar":
-        sp = [site_operator(ops.s_plus, i, n) for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                flip = sp[i] @ sp[j].conj().T
-                ham += table.a[i, j] * (flip + flip.conj().T)
+            diag += 2.0 * table.b[i, j] * m[i] * m[j]
+            if mode == "dipolar":
+                # columns where site i can be raised and site j lowered
+                col = np.flatnonzero((k[i] > 0) & (k[j] < d - 1))
+                row = col - strides[i] + strides[j]
+                ki, kj = k[i, col], k[j, col]
+                ham[row, col] = ham[col, row] = (
+                    table.a[i, j] * (ops.s_plus[ki - 1, ki] * ops.s_minus[kj + 1, kj]))
+    np.fill_diagonal(ham, diag)
     return ham
 
 
 def total_sx(spin: SpinParams, n_sites: int) -> np.ndarray:
+    """Total transverse spin sum_i S_xi, real and dense."""
     ops = build_spin_operators(spin)
-    return sum(site_operator(ops.sx, i, n_sites) for i in range(n_sites))
+    k, strides = _site_indices(spin.d, n_sites)
+    sx = np.zeros((spin.d**n_sites,) * 2)
+    for i in range(n_sites):
+        col = np.flatnonzero(k[i] > 0)
+        ki = k[i, col]
+        sx[col - strides[i], col] = sx[col, col - strides[i]] = ops.sx[ki - 1, ki]
+    return sx
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +160,7 @@ class EvolvedCluster:
         w, v = np.linalg.eigh(ham)
         sx = total_sx(spin, table.n_sites)
         return cls(spin=spin, table=table, mode=mode, eigvals=w, eigvecs=v,
-                   sx_eigbasis=v.conj().T @ sx @ v)
+                   sx_eigbasis=v.T @ sx @ v)
 
     @property
     def n_sites(self) -> int:
@@ -161,11 +170,13 @@ class EvolvedCluster:
         """Evolved transverse magnetization exp(-iHt) S_x exp(iHt)."""
         phase = np.exp(-1j * self.eigvals * t)
         mat = (phase[:, None] * self.sx_eigbasis) * phase.conj()[None, :]
-        return self.eigvecs @ mat @ self.eigvecs.conj().T
+        # two real products: faster than one complex-by-real product
+        v = self.eigvecs
+        return v @ mat.real @ v.T + 1j * (v @ mat.imag @ v.T)
 
     def fid(self, grid: TimeGrid) -> np.ndarray:
         """Normalized Tr{S_x rho(t)} / Tr{S_x rho(0)}; beta-independent."""
-        w2 = np.abs(self.sx_eigbasis) ** 2
+        w2 = self.sx_eigbasis**2
         diag_w = float(np.sum(np.diag(w2)))
         iu, ju = np.triu_indices(w2.shape[0], k=1)
         weights = 2.0 * w2[iu, ju]
@@ -178,6 +189,10 @@ class EvolvedCluster:
     def pair_deviation(self, t: float, pair: tuple[int, int]) -> np.ndarray:
         """Reduced deviation matrix: the pair state is (1 + beta D)/d^2."""
         i, j = pair
+        if i == j:
+            raise InvalidPairError("pair indices must differ")
+        if not (0 <= i < self.n_sites and 0 <= j < self.n_sites):
+            raise InvalidPairError("pair index out of range")
         dev = self.deviation(t)
         dims = [self.spin.d] * self.n_sites
         reduced = partial_trace(dev, dims, keep=(i, j))
@@ -188,12 +203,6 @@ class EvolvedCluster:
         _beta_guard(self.spin, 2, beta)
         d2 = self.spin.d ** 2
         return DensityMatrix(entries=(np.eye(d2) + beta * dev) / d2)
-
-
-def evolve_and_measure_fid(spin: SpinParams, table: CouplingTable, mode: str,
-                           grid: TimeGrid) -> np.ndarray:
-    """Normalized FID of the cluster (independent of beta)."""
-    return EvolvedCluster.build(spin, table, mode).fid(grid)
 
 
 def _beta_guard(spin: SpinParams, n_sites: int, beta: float) -> None:
@@ -223,16 +232,6 @@ def partial_trace(mat: np.ndarray, dims: list[int], keep: tuple[int, ...]) -> np
     dt = int(np.prod([dims[k] for k in traced])) if traced else 1
     tensor = tensor.transpose(perm).reshape(dk, dt, dk, dt)
     return np.trace(tensor, axis1=1, axis2=3)
-
-
-def reduce_to_pair(rho: DensityMatrix, sites: tuple[int, int], dims: list[int]) -> DensityMatrix:
-    """Partial trace of a cluster state down to two chosen sites."""
-    i, j = sites
-    if i == j:
-        raise InvalidPairError("pair indices must differ")
-    if not (0 <= i < len(dims) and 0 <= j < len(dims)):
-        raise InvalidPairError("pair index out of range")
-    return DensityMatrix(entries=partial_trace(rho.entries, dims, keep=(i, j)))
 
 
 def entropy_exact(rho: DensityMatrix) -> float:
@@ -394,9 +393,6 @@ class SphereQuadrature:
         w = np.repeat(wu, n_phi) * (2.0 * np.pi / n_phi)
         return cls(theta=th, phi=ph, weights=w, n_theta=n_theta, n_phi=n_phi)
 
-    def __len__(self) -> int:
-        return self.weights.size
-
     def scs_basis(self, spin: SpinParams):
         """Cached coherent-state amplitudes and completeness deviation."""
         hit = self._basis_cache.get(spin.two_s)
@@ -408,23 +404,6 @@ class SphereQuadrature:
             hit = (amps, dev)
             self._basis_cache[spin.two_s] = hit
         return hit
-
-
-@dataclass(frozen=True, eq=False)
-class MeasurementBasis:
-    """Either an orthogonal axis measurement or the coherent-state POVM."""
-
-    kind: str
-    direction: np.ndarray | None = None
-    quadrature: SphereQuadrature | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("von_neumann", "povm_scs"):
-            raise InvalidSpecError(f"unknown measurement kind {self.kind!r}")
-        if self.kind == "von_neumann":
-            object.__setattr__(self, "direction", _check_direction(self.direction))
-        elif self.quadrature is None:
-            raise InvalidSpecError("povm_scs basis needs a sphere quadrature")
 
 
 def scs_completeness_check(spin: SpinParams, quadrature: SphereQuadrature) -> float:

@@ -17,12 +17,14 @@ from spinfid.errors import (
 from spinfid.ising import (
     PairContext,
     coupling_fid_factor,
+    fid_zz_lattice,
     mutual_info_ising,
     pair_deviation_matrix,
     povm_split,
 )
 from spinfid.lattice import CouplingTable
 from spinfid.oracle import (
+    DIM_GUARD,
     DensityMatrix,
     EvolvedCluster,
     SphereQuadrature,
@@ -31,15 +33,12 @@ from spinfid.oracle import (
     build_spin_operators,
     classical_info_von_neumann,
     entropy_exact,
-    evolve_and_measure_fid,
     mutual_info_numeric,
     partial_trace,
     povm_entropy_terms,
     povm_measure_and_classical_info,
-    reduce_to_pair,
     scs_amplitudes,
     scs_completeness_check,
-    site_operator,
     total_sx,
     von_neumann_measure,
 )
@@ -58,6 +57,27 @@ def triangle(b12=1.0, b13=1.0, b23=1.0):
 @pytest.fixture(scope="module")
 def quad():
     return SphereQuadrature.build()
+
+
+def kron_sites(op, n):
+    """Dense embedding of a one-spin operator at each of n sites."""
+    d = op.shape[0]
+    return [np.kron(np.kron(np.eye(d**i), op), np.eye(d ** (n - i - 1))) for i in range(n)]
+
+
+def dense_hamiltonian(spin, table, mode):
+    """Reference assembly: Kronecker embeddings and one matmul per pair."""
+    ops = build_spin_operators(spin)
+    n = table.n_sites
+    sz, sp = kron_sites(ops.sz, n), kron_sites(ops.s_plus, n)
+    ham = np.zeros((spin.d**n,) * 2)
+    for i in range(n):
+        for j in range(i + 1, n):
+            ham += 2.0 * table.b[i, j] * sz[i] @ sz[j]
+            if mode == "dipolar":
+                flip = sp[i] @ sp[j].T
+                ham += table.a[i, j] * (flip + flip.T)
+    return ham
 
 
 # -- spin operators -----------------------------------------------------------------
@@ -93,17 +113,51 @@ def test_pair_hamiltonian_consistent_with_product_fid():
     np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(ham)),
                                [-0.5, -0.5, 0.5, 0.5], atol=1e-14)
     grid = TimeGrid.linspace(8.0, 81)
-    fid = evolve_and_measure_fid(HALF, PAIR, "ising", grid)
+    fid = EvolvedCluster.build(HALF, PAIR, "ising").fid(grid)
     np.testing.assert_allclose(fid, np.cos(grid.times), atol=1e-13)
+
+
+@pytest.mark.parametrize("two_s, n", [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4),
+                                      (3, 3), (4, 3)])
+def test_assembly_matches_dense_reference(two_s, n):
+    rng = np.random.default_rng(10 * two_s + n)
+    b, a = (np.triu(rng.normal(size=(n, n)), 1) for _ in range(2))
+    table = CouplingTable(b=b + b.T, a=a + a.T)
+    spin = SpinParams(two_s)
+    for mode in ("ising", "dipolar"):
+        ham = build_hamiltonian(spin, table, mode)
+        assert ham.dtype == np.float64
+        np.testing.assert_allclose(ham, dense_hamiltonian(spin, table, mode), rtol=0, atol=1e-12)
+    sx = total_sx(spin, n)
+    assert sx.dtype == np.float64
+    np.testing.assert_allclose(sx, sum(kron_sites(build_spin_operators(spin).sx, n)),
+                               rtol=0, atol=1e-12)
 
 
 def test_hamiltonian_commutes_with_total_sz():
     for mode in ("ising", "dipolar"):
         ham = build_hamiltonian(ONE, triangle(0.7, -0.4, 0.2), mode)
-        ops = build_spin_operators(ONE)
-        sz_tot = sum(site_operator(ops.sz, i, 3) for i in range(3))
+        sz_tot = sum(kron_sites(build_spin_operators(ONE).sz, 3))
         np.testing.assert_allclose(ham @ sz_tot - sz_tot @ ham,
                                    np.zeros_like(ham), atol=1e-13)
+
+
+@pytest.mark.parametrize("mode", ["ising", "dipolar"])
+def test_hamiltonian_at_dimension_guard(mode):
+    # 12 spin-1/2 sites: d^N equals the guard exactly
+    n = 12
+    rng = np.random.default_rng(12)
+    b, a = (np.triu(rng.normal(size=(n, n)), 1) for _ in range(2))
+    ham = build_hamiltonian(HALF, CouplingTable(b=b + b.T, a=a + a.T), mode)
+    assert ham.shape == (DIM_GUARD, DIM_GUARD)
+    assert ham.dtype == np.float64
+    row, col = np.nonzero(ham)
+    np.testing.assert_array_equal(ham[row, col], ham[col, row])  # symmetric
+    # bit s of the state index is 1 when site n-1-s points down
+    down = (np.arange(DIM_GUARD)[:, None] >> np.arange(n)) & 1
+    total_mz = n / 2 - down.sum(axis=1)
+    np.testing.assert_array_equal(total_mz[row], total_mz[col])
+    assert (row != col).any() == (mode == "dipolar")
 
 
 def test_modes_agree_when_flipflop_zero():
@@ -123,9 +177,19 @@ def test_dimension_guard():
 
 def test_three_equivalent_spins_fid_is_cos_squared():
     grid = TimeGrid.linspace(6.0, 61)
-    fid = evolve_and_measure_fid(HALF, triangle(), "ising", grid)
+    fid = EvolvedCluster.build(HALF, triangle(), "ising").fid(grid)
     np.testing.assert_allclose(fid, np.cos(grid.times) ** 2, atol=1e-12)
     assert fid[0] == pytest.approx(1.0, abs=1e-14)
+
+
+def test_eleven_site_ising_chain_matches_lattice_fid():
+    # open nearest-neighbour chain of unequal couplings, dim 2048
+    n = 11
+    b = np.diag(np.linspace(0.5, 1.5, n - 1), 1)
+    table = CouplingTable(b=b + b.T)
+    grid = TimeGrid.linspace(6.0, 61)
+    fid = EvolvedCluster.build(HALF, table, "ising").fid(grid)
+    np.testing.assert_allclose(fid, fid_zz_lattice(HALF, table, grid.times), rtol=0, atol=1e-10)
 
 
 def test_fid_beta_independent_by_construction():
@@ -136,10 +200,10 @@ def test_fid_beta_independent_by_construction():
     grid = TimeGrid.linspace(4.0, 21)
     cluster = EvolvedCluster.build(ONE, triangle(0.3, 0.9, -0.5), "dipolar")
     v = cluster.eigvecs
-    sx = v.conj().T @ total_sx(ONE, 3) @ v
+    sx = v.T @ total_sx(ONE, 3) @ v
     for beta in (1e-3, 1e-5):
         rho = build_initial_density(ONE, 3, beta).entries
-        rho0 = v.conj().T @ (rho - np.eye(27) / 27) @ v
+        rho0 = v.T @ (rho - np.eye(27) / 27) @ v
         signal = np.empty(grid.times.size)
         for k, t in enumerate(grid.times):
             phase = np.exp(-1j * cluster.eigvals * t)
@@ -179,12 +243,11 @@ def test_partial_trace_product_state():
     np.testing.assert_allclose(partial_trace(joint, [2, 3], keep=(1,)), rho_b, atol=1e-14)
 
 
-def test_reduce_to_pair_guards():
-    rho = DensityMatrix(entries=np.eye(8) / 8)
+@pytest.mark.parametrize("pair", [(1, 1), (-1, 0), (0, 3)])
+def test_pair_density_rejects_bad_pairs(pair):
+    cluster = EvolvedCluster.build(HALF, triangle(), "ising")
     with pytest.raises(InvalidPairError):
-        reduce_to_pair(rho, (1, 1), [2, 2, 2])
-    reduced = reduce_to_pair(rho, (0, 2), [2, 2, 2])
-    np.testing.assert_allclose(reduced.entries, np.eye(4) / 4, atol=1e-15)
+        cluster.pair_density(0.5, pair, HALF.beta)
 
 
 def test_oracle_pair_reduction_matches_closed_form():
@@ -397,19 +460,6 @@ def test_povm_matches_closed_form_and_additivity(quad):
         info = float(mutual_info_numeric(rho))
         assert info - j >= -1e-12  # quantum share nonnegative
         assert info - j == pytest.approx(q_an, rel=2e-3)
-
-
-def test_measurement_basis_validation(quad):
-    from spinfid.oracle import MeasurementBasis
-
-    basis = MeasurementBasis(kind="von_neumann", direction=np.array([0.0, 0.0, 1.0]))
-    assert basis.direction[2] == 1.0
-    with pytest.raises(InvalidBasisError):
-        MeasurementBasis(kind="von_neumann", direction=np.array([0.0, 0.0, 2.0]))
-    with pytest.raises(Exception):
-        MeasurementBasis(kind="povm_scs")  # quadrature required
-    povm = MeasurementBasis(kind="povm_scs", quadrature=quad)
-    assert len(povm.quadrature) == 64 * 128
 
 
 def test_povm_reference_constant_invariance(quad):
