@@ -1,10 +1,13 @@
 """Exact-simulation oracle: operators, evolution, reduction, measurement."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from spinfid import oracle
 from spinfid.core import SpinParams, TimeGrid
 from spinfid.errors import (
     BetaTooLargeError,
@@ -182,9 +185,11 @@ def test_three_equivalent_spins_fid_is_cos_squared():
     assert fid[0] == pytest.approx(1.0, abs=1e-14)
 
 
-def test_eleven_site_ising_chain_matches_lattice_fid():
-    # open nearest-neighbour chain of unequal couplings, dim 2048
-    n = 11
+@pytest.mark.parametrize("n", [11, 12])
+def test_open_ising_chain_matches_lattice_fid(n):
+    # open nearest-neighbour chain of unequal couplings, dim 2048 and, at
+    # n = 12, exactly the guard; FID only, since one pair reduction at
+    # dim 4096 holds several dense complex 256 MB temporaries
     b = np.diag(np.linspace(0.5, 1.5, n - 1), 1)
     table = CouplingTable(b=b + b.T)
     grid = TimeGrid.linspace(6.0, 61)
@@ -198,18 +203,68 @@ def test_fid_beta_independent_by_construction():
     # the maximally mixed part is dropped before rotating; kept, its
     # roundoff would enter the signal at ~eps/beta
     grid = TimeGrid.linspace(4.0, 21)
-    cluster = EvolvedCluster.build(ONE, triangle(0.3, 0.9, -0.5), "dipolar")
-    v = cluster.eigvecs
-    sx = v.T @ total_sx(ONE, 3) @ v
-    for beta in (1e-3, 1e-5):
-        rho = build_initial_density(ONE, 3, beta).entries
-        rho0 = v.T @ (rho - np.eye(27) / 27) @ v
-        signal = np.empty(grid.times.size)
-        for k, t in enumerate(grid.times):
-            phase = np.exp(-1j * cluster.eigvals * t)
-            rho_t = phase[:, None] * rho0 * phase.conj()[None, :]
-            signal[k] = np.trace(sx @ rho_t).real
-        np.testing.assert_allclose(signal / signal[0], cluster.fid(grid), rtol=0, atol=1e-12)
+    for mode in ("dipolar", "ising"):
+        cluster = EvolvedCluster.build(ONE, triangle(0.3, 0.9, -0.5), mode)
+        # an Ising H is diagonal: its eigenbasis is the product basis
+        v = np.eye(27) if cluster.eigvecs is None else cluster.eigvecs
+        sx = v.T @ total_sx(ONE, 3) @ v
+        for beta in (1e-3, 1e-5):
+            rho = build_initial_density(ONE, 3, beta).entries
+            rho0 = v.T @ (rho - np.eye(27) / 27) @ v
+            signal = np.empty(grid.times.size)
+            for k, t in enumerate(grid.times):
+                phase = np.exp(-1j * cluster.eigvals * t)
+                rho_t = phase[:, None] * rho0 * phase.conj()[None, :]
+                signal[k] = np.trace(sx @ rho_t).real
+            np.testing.assert_allclose(signal / signal[0], cluster.fid(grid),
+                                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("two_s, n", [(1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4),
+                                      (3, 3), (4, 3)])
+def test_ising_evolution_matches_dense_propagator(two_s, n):
+    # reference: expm of the Kronecker-assembled H, and each pair element
+    # <a|D_red|c> as Tr{D (|c><a| on the pair, identity elsewhere)}
+    rng = np.random.default_rng(20 * two_s + n)
+    b = np.triu(rng.normal(size=(n, n)), 1)
+    table = CouplingTable(b=b + b.T)
+    spin = SpinParams(two_s)
+    d = spin.d
+    ham = dense_hamiltonian(spin, table, "ising")
+    sx = sum(kron_sites(build_spin_operators(spin).sx, n))
+    cluster = EvolvedCluster.build(spin, table, "ising")
+    times = (-0.8, 0.45, 1.7)
+    devs = []
+    for t in times:
+        u = expm(-1j * ham * t)
+        devs.append(u @ sx @ u.conj().T)
+        np.testing.assert_allclose(cluster.deviation(t), devs[-1], rtol=0, atol=1e-12)
+    unit = np.eye(d)
+    for i, j in ((0, 1), (0, 2), (2, 0)):
+        probes = np.empty((d * d, d * d) + ham.shape)
+        for a in range(d * d):
+            for c in range(d * d):
+                ops = [unit] * n
+                ops[i] = np.outer(unit[a // d], unit[c // d])
+                ops[j] = np.outer(unit[a % d], unit[c % d])
+                probes[a, c] = reduce(np.kron, ops)
+        for t, dev in zip(times, devs):
+            ref = np.einsum("acxy,xy->ac", probes, dev) / d ** (n - 2)
+            np.testing.assert_allclose(cluster.pair_deviation(t, (i, j)), ref,
+                                       rtol=0, atol=1e-12)
+
+
+def test_ising_build_never_diagonalizes(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(oracle.np.linalg, "eigh", no_eigh)
+    table = triangle(0.7, -0.4, 0.2)
+    cluster = EvolvedCluster.build(ONE, table, "ising")
+    cluster.fid(TimeGrid.linspace(2.0, 5))
+    cluster.pair_density(0.5, (0, 1), ONE.beta)
+    with pytest.raises(AssertionError, match="eigh called"):
+        EvolvedCluster.build(ONE, table, "dipolar")
 
 
 @pytest.mark.parametrize("spin", [HALF, ONE])
@@ -248,6 +303,17 @@ def test_pair_density_rejects_bad_pairs(pair):
     cluster = EvolvedCluster.build(HALF, triangle(), "ising")
     with pytest.raises(InvalidPairError):
         cluster.pair_density(0.5, pair, HALF.beta)
+
+
+def test_pair_density_beta_guard_before_reduction(monkeypatch):
+    cluster = EvolvedCluster.build(HALF, triangle(), "ising")
+
+    def no_reduction(*args):
+        raise AssertionError("reduced before the beta guard")
+
+    monkeypatch.setattr(EvolvedCluster, "pair_deviation", no_reduction)
+    with pytest.raises(BetaTooLargeError):
+        cluster.pair_density(0.5, (0, 1), 1.0)  # beta * S * 2 = 1
 
 
 def test_oracle_pair_reduction_matches_closed_form():
