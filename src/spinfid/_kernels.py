@@ -10,6 +10,8 @@ calling modules.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Switch radius to the Chebyshev branch of sin(dx)/(d sin x). The direct
@@ -17,6 +19,13 @@ import numpy as np
 # rounding of d*x lands on a zero of the numerator), while the Chebyshev
 # recurrence stays at ~d^3 eps for any window, so the window is kept wide.
 _SIN_EPS = 1e-3
+
+# cos_sum's uniform-grid path: np.linspace drifts ~1 ulp of max|t| from
+# t_0 + k dt (its last point is set to t_max exactly), so allow a few
+_GRID_ULPS = 8
+# lines per GEMM block: at n = 4001 the complex (64 x block) phase and
+# exponential blocks are ~4 MB each
+_LINE_BLOCK = 4096
 
 
 def dirichlet_ratio(d, x):
@@ -89,9 +98,45 @@ def lattice_fid(d, b_matrix, times):
     return acc / n
 
 
+def _uniform_step(times):
+    """Step of a grid uniform to within a few ulps of max|t|, else None."""
+    n = times.size
+    if n < 2:
+        return None
+    step = (times[-1] - times[0]) / (n - 1)
+    drift = np.max(np.abs(times - (times[0] + step * np.arange(n))))
+    if not drift <= _GRID_ULPS * np.finfo(float).eps * np.max(np.abs(times)):
+        return None  # also for NaN
+    return step
+
+
 def cos_sum(weights, freqs, times):
-    """sum_p w_p cos(omega_p t) at each t, chunked to bound temporaries."""
+    """sum_p w_p cos(omega_p t) at each t.
+
+    On a uniform grid t_k = t_0 + k dt, k = j L + r with L = ceil(sqrt n),
+    the sum is Re(A @ E) with A[j, p] = w_p exp(i omega_p T_j) at the
+    coarse times T_j = t_{jL} and E[p, r] = exp(i omega_p r dt). That is
+    one complex GEMM per block of lines and ~2 sqrt(n) exponentials per
+    line instead of n cosines; the last row's entries past t_{n-1} are
+    dropped. It is exact up to roundoff: T_j + r dt differs from t_k only
+    by the grid's own few-ulp drift, which ``_uniform_step`` bounds at
+    _GRID_ULPS ulps of max|t|. Blocks of _LINE_BLOCK lines bound the
+    temporaries to a few complex (sqrt n x block) arrays: a ~13 MB peak
+    at n = 4001, against 64 MB for the direct sum. Other grids take the
+    direct sum, chunked to 4e6 entries.
+    """
     times = np.asarray(times, dtype=float)
+    step = _uniform_step(times)
+    if step is not None:
+        n = times.size
+        fine = step * np.arange(math.ceil(math.sqrt(n)))
+        coarse = times[::fine.size]
+        out = np.zeros((coarse.size, fine.size))
+        for lo in range(0, freqs.size, _LINE_BLOCK):
+            f = freqs[lo:lo + _LINE_BLOCK]
+            a = weights[lo:lo + _LINE_BLOCK] * np.exp(1j * np.multiply.outer(coarse, f))
+            out += (a @ np.exp(1j * np.multiply.outer(f, fine))).real
+        return out.ravel()[:n]
     out = np.empty_like(times)
     chunk = max(1, int(4e6) // max(1, freqs.size))
     for lo in range(0, times.size, chunk):

@@ -1,9 +1,12 @@
 """Numerical edge cases for the hot kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spinfid import _kernels as K
+from spinfid.core import TimeGrid
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -38,3 +41,70 @@ def test_dirichlet_accurate_around_poles(d):
     xs = np.array(xs)
     ref = 1.0 + K.dirichlet_ratio_m1(d, xs)
     np.testing.assert_allclose(K.dirichlet_ratio(d, xs), ref, rtol=0, atol=5e-12)
+
+
+# -- cos_sum -------------------------------------------------------------------------
+
+def brute_cos_sum(weights, freqs, times):
+    return np.array([np.sum(weights * np.cos(freqs * t)) for t in times])
+
+
+def lines(n_lines, times, seed=0):
+    """Random signed weights and frequencies reaching |omega t| ~ 1e3."""
+    rng = np.random.default_rng(seed)
+    top = 1e3 / np.max(np.abs(times))
+    return rng.uniform(-1.0, 1.0, n_lines), rng.uniform(-top, top, n_lines)
+
+
+def assert_matches_brute(weights, freqs, times):
+    got = K.cos_sum(weights, freqs, times)
+    ref = brute_cos_sum(weights, freqs, times)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * max(np.sum(np.abs(weights)), 1.0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 41, 4001])
+@pytest.mark.parametrize("t0", [-3.7, 0.0, 2.5])
+def test_cos_sum_uniform_grid(n, t0):
+    times = t0 + 0.013 * np.arange(n)
+    assert K._uniform_step(times) is not None
+    assert_matches_brute(*lines(300, times), times)
+
+
+@pytest.mark.parametrize("t_max, n", [(20.0, 4001), (7.3, 41), (1e-3, 3)])
+def test_cos_sum_linspace_grid(t_max, n):
+    # the last point is t_max exactly, not t_0 + (n - 1) dt
+    times = TimeGrid.linspace(t_max, n).times
+    assert K._uniform_step(times) is not None
+    assert_matches_brute(*lines(500, times, seed=1), times)
+
+
+@pytest.mark.parametrize("n_lines", [0, 1, K._LINE_BLOCK + 1])
+def test_cos_sum_line_counts(n_lines):
+    times = np.linspace(-1.0, 4.0, 401)
+    weights, freqs = lines(n_lines, times, seed=2)
+    assert_matches_brute(weights, freqs, times)
+    if n_lines == 0:
+        assert np.all(K.cos_sum(weights, freqs, times) == 0.0)
+
+
+def test_cos_sum_non_uniform_grids():
+    geometric = np.geomspace(1e-3, 10.0, 500)
+    moved = np.linspace(0.0, 10.0, 501)
+    moved[250] += 1e-9
+    for times in (geometric, moved):
+        assert K._uniform_step(times) is None
+        # on the moved grid the uniform path would be off by ~|omega| 1e-9
+        assert_matches_brute(*lines(2000, times, seed=3), times)
+
+
+def test_cos_sum_memory_bound():
+    rng = np.random.default_rng(4)
+    weights, freqs = rng.random(50_000), rng.normal(0.0, 5.0, 50_000)
+    times = TimeGrid.linspace(20.0, 4001).times
+    tracemalloc.start()
+    try:
+        K.cos_sum(weights, freqs, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6

@@ -285,6 +285,28 @@ def test_dipolar_fid_even_with_dipolar_second_moment(spin):
     assert -d2 == pytest.approx(m2, rel=1e-6)
 
 
+def random_couplings(n, seed):
+    b = np.triu(np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n)), 1)
+    return CouplingTable(b=b + b.T)
+
+
+@pytest.mark.parametrize("spin, n", [(HALF, 8), (ONE, 4)], ids=["half-n8", "one-n4"])
+@pytest.mark.parametrize("grid", [TimeGrid.linspace(25.0, 4001),
+                                  TimeGrid(1.7 + 0.011 * np.arange(1500))],
+                         ids=["linspace", "offset"])
+def test_dipolar_fid_matches_trace_of_deviation(spin, n, grid):
+    # the spectral line sum against Tr(S_x D(t)) / Tr(S_x^2) from the
+    # evolved operator itself, at three sampled times including the last
+    cluster = EvolvedCluster.build(spin, random_couplings(n, seed=n), "dipolar")
+    fid = cluster.fid(grid)
+    sx = total_sx(spin, n)
+    norm = float(np.trace(sx @ sx))
+    for k in (1, len(grid) // 3, len(grid) - 1):
+        t = float(grid.times[k])
+        direct = float(np.trace(sx @ cluster.deviation(t)).real) / norm
+        assert fid[k] == pytest.approx(direct, abs=1e-10)
+
+
 # -- reduction ---------------------------------------------------------------------
 
 def test_partial_trace_product_state():
