@@ -163,16 +163,108 @@ def scs_overlaps(rho4, amps):
     return np.einsum("na,acbe,nb->nce", amps.conj(), rho4, amps, optimize=True)
 
 
+def _abs2(z):
+    """|z|^2 without the rounding of a square root."""
+    return z.real**2 + z.imag**2
+
+
+def _deflated_eigvals3(mats, diag, q, top):
+    """x = lambda / q - 1 for 3 x 3 Hermitian M whose top root ``top`` is isolated.
+
+    The lower pair comes from its sum (c1 - P) / top and its product
+    P = det M / top, with c1 the sum of the principal 2 x 2 minors. det M is
+    the largest diagonal entry times the determinant of the 2 x 2 Schur
+    complement on it, so its roundoff scales with the pair rather than with
+    M, and a pure state gives exactly (-1, -1, 2). The top x is minus the
+    pair's sum, so sum x = 0.
+    """
+    order = (np.argmax(diag, axis=1)[:, None] + np.arange(3)) % 3
+    mp = mats[np.arange(len(mats))[:, None, None], order[:, :, None], order[:, None, :]]
+    pivot = mp[:, 0, 0].real  # >= Tr M / 3 > 0
+    u, v = mp[:, 1, 0], mp[:, 2, 0]
+    s11 = mp[:, 1, 1].real - _abs2(u) / pivot
+    s22 = mp[:, 2, 2].real - _abs2(v) / pivot
+    det = pivot * (s11 * s22 - _abs2(mp[:, 1, 2] - u * v.conj() / pivot))
+    c1 = (diag[:, 0] * diag[:, 1] + diag[:, 0] * diag[:, 2] + diag[:, 1] * diag[:, 2]
+          - _abs2(mats[:, 0, 1]) - _abs2(mats[:, 0, 2]) - _abs2(mats[:, 1, 2]))
+    half = np.maximum(c1 - det / top, 0.0) / (2.0 * top)
+    prod = np.clip(det / top, 0.0, half**2)
+    mid = half + np.sqrt(half**2 - prod)
+    low = np.divide(prod, mid, out=np.zeros_like(mid), where=mid > 0.0)
+    x_low, x_mid = low / q - 1.0, mid / q - 1.0
+    return np.stack([x_low, x_mid, -(x_low + x_mid)], axis=1)
+
+
+def _deviation_eigvals3(mats, tr):
+    """Eigenvalues x of 3 M / Tr M - 1 for a stack of 3 x 3 Hermitian M.
+
+    The trigonometric roots of the traceless part A = M - (Tr M / 3) (Smith,
+    Commun. ACM 4, 168 (1961)): with p^2 = Tr A^2 / 6 and cos(3 phi) =
+    det A / (2 p^3), they are 2p cos(phi + 2 pi k / 3), written out in
+    cos phi and sin phi. Their absolute error is ~eps p, and ~sqrt(eps) p
+    for the splitting of a near-double root (Kopp, Int. J. Mod. Phys. C 19,
+    523 (2008)). A nearly pure state has such a pair at probability ~0,
+    where the entropy is most sensitive: the error would reach 1e-13 bits
+    for probabilities 1e-4 and 1e-7 bits below 1e-9. Rows whose top root is
+    isolated and whose smallest probability is below p^2 / 3 therefore
+    take their lower roots from ``_deflated_eigvals3``.
+    """
+    q = tr / 3.0
+    diag = np.einsum("ncc->nc", mats).real
+    b, c, f = mats[:, 0, 1], mats[:, 0, 2], mats[:, 1, 2]
+    bb, cc, ff = _abs2(b), _abs2(c), _abs2(f)
+    a0, a1, a2 = (diag - q[:, None]).T
+    p2 = (a0**2 + a1**2 + a2**2 + 2.0 * (bb + cc + ff)) / 6.0
+    det_a = (a0 * a1 * a2 + 2.0 * (b * f * c.conj()).real
+             - a0 * ff - a1 * cc - a2 * bb)
+    den = 2.0 * p2 * np.sqrt(p2)
+    # a multiple of the identity has p = 0 and any phi; phi = pi/6 is used
+    cos3 = np.divide(det_a, den, out=np.zeros_like(den), where=den > 0.0)
+    phi = np.arccos(np.clip(cos3, -1.0, 1.0)) / 3.0
+    p = np.sqrt(p2) / q
+    cp, sp = p * np.cos(phi), p * math.sqrt(3.0) * np.sin(phi)
+    x = np.stack([-cp - sp, sp - cp, 2.0 * cp], axis=1)
+    rows = np.flatnonzero((cos3 >= 0.0) & (p**2 > 1.0 + x[:, 0]))
+    if rows.size:
+        x[rows] = _deflated_eigvals3(mats[rows], diag[rows], q[rows],
+                                     q[rows] * (1.0 + x[rows, 2]))
+    return x
+
+
+def _deviation_eigvals(mats, tr):
+    """Eigenvalues x of d M / Tr M - 1 for a stack of d x d Hermitian M.
+
+    d = 2: x = +-sqrt((a - e)^2 + 4|c|^2) / (a + e) for M = [[a, c], [c*, e]].
+    d = 3: ``_deviation_eigvals3``. d >= 4: batched ``eigvalsh``, centred so
+    that sum x = 0 holds to the roundoff of x rather than of M.
+    """
+    d = mats.shape[-1]
+    if d == 2:
+        a, e, c = mats[:, 0, 0].real, mats[:, 1, 1].real, mats[:, 0, 1]
+        r = np.sqrt((a - e) ** 2 + 4.0 * _abs2(c)) / tr
+        return np.stack([-r, r], axis=1)
+    if d == 3:
+        return _deviation_eigvals3(mats, tr)
+    w = np.linalg.eigvalsh(mats)
+    return d * (w - w.mean(axis=1, keepdims=True)) / tr[:, None]
+
+
 def entropy_norm_batch(mats):
     """Per-matrix (trace, entropy-in-bits of the trace-normalized matrix).
 
-    Eigenvalues are clipped at zero; 0 log 0 = 0. Inputs are Hermitian and
-    PSD up to roundoff.
+    With x the eigenvalues of d M / Tr M - 1 (see ``_deviation_eigvals``:
+    closed forms for d = 2 and 3, ``eigvalsh`` above), the entropy is
+    log2 d - sum_i (1 + x_i) log1p(x_i) / (d ln 2), so a state near the
+    maximally mixed one loses only the roundoff of log2 d. Terms with
+    1 + x <= 0 count as 0 (eigenvalues clipped at zero, 0 log 0 = 0).
+    Inputs are Hermitian and PSD up to roundoff, with positive trace.
     """
+    d = mats.shape[-1]
     tr = np.einsum("ncc->n", mats).real
-    w = np.linalg.eigvalsh(mats)
-    p = np.clip(w, 0.0, None) / tr[:, None]
-    ent = -np.sum(np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0), axis=1)
+    x = _deviation_eigvals(mats, tr)
+    terms = (1.0 + x) * np.log1p(x, where=x > -1.0, out=np.zeros_like(x))
+    # d ln d as d log1p(d - 1): a pure state's one term then cancels it exactly
+    ent = (d * np.log1p(d - 1.0) - np.sum(terms, axis=1)) / (d * math.log(2.0))
     return tr, ent
 
 

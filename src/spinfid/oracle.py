@@ -6,7 +6,12 @@ at all sampled times), reduces to pairs, and measures entropies,
 orthogonal-measurement and coherent-state-POVM classical information.
 A dipolar H is diagonalized by full Hermitian eigendecomposition; an Ising
 H is already diagonal in the product basis, where D(t)[x, y] =
-S_x[x, y] exp(-i (E_x - E_y) t).
+S_x[x, y] exp(-i (E_x - E_y) t). The coherent-state POVM integrates the
+entropy of one conditional d x d state per quadrature node (8192 at the
+64 x 128 default); ``_kernels.entropy_norm_batch`` takes their eigenvalues
+in closed form for d = 2 and 3, and from ``eigvalsh`` for d >= 4. Those
+closed forms are generic Hermitian eigenvalue formulas and share nothing
+with the analytic modules they check.
 
 Because the evolved state is exactly (1 + beta * D(t))/Z with D(t)
 independent of beta, the FID is beta-independent and all beta scalings
@@ -15,6 +20,7 @@ can be probed from a single spectrum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -376,45 +382,60 @@ def scs_amplitudes(spin: SpinParams, theta, phi) -> np.ndarray:
     return binom * c * s * np.exp(1j * phi[..., None] * k)
 
 
-@dataclass(frozen=True, eq=False)
+@functools.lru_cache(maxsize=8)
+def _sphere_nodes(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (theta, phi, weight) arrays of the product quadrature."""
+    u, wu = np.polynomial.legendre.leggauss(n_theta)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    nodes = (np.repeat(np.arccos(u), n_phi), np.tile(phi, n_theta),
+             np.repeat(wu, n_phi) * (2.0 * np.pi / n_phi))
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
+
+
+@functools.lru_cache(maxsize=32)
+def _scs_basis(n_theta: int, n_phi: int, two_s: int) -> tuple[np.ndarray, float]:
+    """Read-only coherent-state amplitudes on the nodes, and the max-norm
+    deviation of their quadrature resolution of identity."""
+    spin = SpinParams(two_s)
+    theta, phi, weights = _sphere_nodes(n_theta, n_phi)
+    amps = scs_amplitudes(spin, theta, phi)
+    gram = np.einsum("n,na,nb->ab", weights, amps, amps.conj())
+    gram *= spin.d / (4.0 * np.pi)
+    amps.flags.writeable = False
+    return amps, float(np.max(np.abs(gram - np.eye(spin.d))))
+
+
+@dataclass(frozen=True)
 class SphereQuadrature:
     """Gauss-Legendre (in cos theta) x uniform-phi product quadrature.
 
     Exact for trigonometric polynomials of degree < 2 n_theta in cos
     theta and below n_phi in the azimuth, which covers coherent-state
-    projectors up to S ~ 15 at the 64 x 128 default.
+    projectors up to S ~ 15 at the 64 x 128 default. Nodes and
+    coherent-state amplitudes are cached per (n_theta, n_phi, 2S) at module
+    level, as read-only arrays, so threads can share one quadrature.
     """
 
-    theta: np.ndarray = field(repr=False)
-    phi: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
     n_theta: int = 64
     n_phi: int = 128
-    _basis_cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        if self.n_theta < 1 or self.n_phi < 1:
+            raise InvalidSpecError("quadrature orders must be positive")
 
     @classmethod
     def build(cls, n_theta: int = 64, n_phi: int = 128) -> "SphereQuadrature":
-        if n_theta < 1 or n_phi < 1:
-            raise InvalidSpecError("quadrature orders must be positive")
-        u, wu = np.polynomial.legendre.leggauss(n_theta)
-        theta = np.arccos(u)
-        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        th = np.repeat(theta, n_phi)
-        ph = np.tile(phi, n_theta)
-        w = np.repeat(wu, n_phi) * (2.0 * np.pi / n_phi)
-        return cls(theta=th, phi=ph, weights=w, n_theta=n_theta, n_phi=n_phi)
+        return cls(n_theta=n_theta, n_phi=n_phi)
 
-    def scs_basis(self, spin: SpinParams):
-        """Cached coherent-state amplitudes and completeness deviation."""
-        hit = self._basis_cache.get(spin.two_s)
-        if hit is None:
-            amps = scs_amplitudes(spin, self.theta, self.phi)
-            gram = np.einsum("n,na,nb->ab", self.weights, amps, amps.conj())
-            gram *= spin.d / (4.0 * np.pi)
-            dev = float(np.max(np.abs(gram - np.eye(spin.d))))
-            hit = (amps, dev)
-            self._basis_cache[spin.two_s] = hit
-        return hit
+    @property
+    def weights(self) -> np.ndarray:
+        return _sphere_nodes(self.n_theta, self.n_phi)[2]
+
+    def scs_basis(self, spin: SpinParams) -> tuple[np.ndarray, float]:
+        """Coherent-state amplitudes and completeness deviation."""
+        return _scs_basis(self.n_theta, self.n_phi, spin.two_s)
 
 
 def scs_completeness_check(spin: SpinParams, quadrature: SphereQuadrature) -> float:
@@ -435,23 +456,6 @@ def povm_conditional_states(rho12: DensityMatrix, spin: SpinParams,
     traces, cond_entropy = K.entropy_norm_batch(mats)
     density = d / (4.0 * np.pi) * traces
     return density, traces, cond_entropy, mats
-
-
-def povm_entropy_terms(rho12: DensityMatrix, spin: SpinParams,
-                       quadrature: SphereQuadrature, scale: float = 1.0):
-    """The three printed hybrid-entropy pieces (angle, spin-2, joint).
-
-    ``scale`` rescales the angle density; the mutual-information
-    combination below is invariant under it, which the tests assert.
-    """
-    density, traces, cond_entropy, _ = povm_conditional_states(rho12, spin, quadrature)
-    w = quadrature.weights
-    p = scale * density
-    h_angle = float(-np.sum(w * p * np.log2(p)) / scale)
-    rho2 = partial_trace(rho12.entries, [spin.d, spin.d], keep=(1,))
-    s_spin2 = entropy_exact(DensityMatrix(entries=rho2))
-    s_joint = float(np.sum(w * p * (-np.log2(p) + cond_entropy)) / scale)
-    return h_angle, s_spin2, s_joint
 
 
 def povm_measure_and_classical_info(rho12: DensityMatrix, spin: SpinParams,

@@ -1,10 +1,12 @@
 """Config validation, run modes, CSV round trips, and exit codes."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from spinfid import oracle
 from spinfid.cli import (
     emit_summary,
     load_config,
@@ -232,3 +234,24 @@ def test_shipped_sample_configs_validate():
     modes = {load_config(p).mode for p in samples}
     assert modes == {"ising_analytic", "ising_oracle_compare",
                      "dipolar_memory", "povm_validate"}
+
+
+@pytest.mark.parametrize("threads", ["2", "4"])
+def test_povm_validate_threads_write_the_serial_csv(tmp_path, monkeypatch, threads):
+    # the sweep's workers share the module-level quadrature caches; start them
+    # empty and switch threads often so that the workers race to fill them
+    path = write_cfg(tmp_path, minimal(mode="povm_validate", spin_sweep=[1, 2, 3, 4]))
+    csvs = []
+    for n in ("1", threads):
+        oracle._sphere_nodes.cache_clear()
+        oracle._scs_basis.cache_clear()
+        monkeypatch.setenv("SPINFID_NUM_THREADS", n)
+        out = tmp_path / f"threads{n}"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert main(["run", str(path), "--out", str(out)]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        csvs.append((out / "povm_validate.csv").read_bytes())
+    assert csvs[0] == csvs[1]

@@ -1,12 +1,24 @@
 """Numerical edge cases for the hot kernels."""
 
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from spinfid import _kernels as K
-from spinfid.core import TimeGrid
+from spinfid.core import SpinParams, TimeGrid
+from spinfid.lattice import CouplingTable
+from spinfid.oracle import (
+    DensityMatrix,
+    EvolvedCluster,
+    SphereQuadrature,
+    entropy_exact,
+    partial_trace,
+    povm_conditional_states,
+    povm_measure_and_classical_info,
+)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -108,3 +120,117 @@ def test_cos_sum_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak <= 32e6
+
+
+# -- entropy_norm_batch ---------------------------------------------------------------
+
+def mp_entropy(mat):
+    """Entropy in bits of mat / Tr mat from 40-digit eigenvalues (0 log 0 = 0)."""
+    with mpmath.workdps(40):
+        a = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in mat])
+        tr = mpmath.fsum(a[k, k].real for k in range(a.rows))
+        probs = [w / tr for w in mpmath.eigh(a, eigvals_only=True)]
+        return -mpmath.fsum(p * mpmath.log(p, 2) for p in probs if p > 0)
+
+
+def kernel_entropies(mats):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return K.entropy_norm_batch(np.asarray(mats, dtype=complex))[1]
+
+
+def assert_matches_mp(mats, tol=1e-15):
+    for s, mat in zip(kernel_entropies(mats), mats):
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpf(float(s)) - mp_entropy(mat)) <= tol
+
+
+def proj(v):
+    v = np.asarray(v, dtype=complex)
+    return np.outer(v, v.conj())
+
+
+def unitary(d, rng):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def with_spectrum(spectrum, rng):
+    u = unitary(len(spectrum), rng)
+    return u @ np.diag(spectrum) @ u.conj().T
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_entropy_near_maximally_mixed(d):
+    # the POVM's conditional states: c (1 + delta G) with |G| = 1
+    rng = np.random.default_rng(10 + d)
+    mats = []
+    for delta in np.geomspace(1e-1, 1e-8, 8):
+        for _ in range(4):
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            g = g + g.conj().T
+            mats.append(rng.uniform(0.1, 10.0) * (np.eye(d) + delta * g / np.linalg.norm(g, 2)))
+    assert_matches_mp(mats)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_entropy_degenerate_spectra(d):
+    rng = np.random.default_rng(20 + d)
+    ones = np.ones(d)
+    # multiples of 1 (p = 0 in the d = 3 roots), double roots, gaps of 1e-10
+    spectra = [ones, 0.7 * ones, 1e-3 * ones,
+               np.r_[ones[:-1], 2.0], np.r_[1.0, 2.0 * ones[1:]],
+               np.r_[ones[:-1], 1.0 + 1e-10], np.r_[1.0, 1.0 + 1e-10, 1.5 * ones[2:]]]
+    mats = [np.eye(d), 3.0 * np.eye(d), 0.7 * np.eye(d)] + [with_spectrum(s, rng) for s in spectra]
+    assert_matches_mp(mats)
+
+
+@pytest.mark.parametrize("vectors", [
+    [[1, 0], [0, 2.5], [1, 1], [1, 1j], [1, 2 + 2j], [3, 4j]],
+    [[0, 0, 1], [1, 1, 1], [1, 2, 2], [1, 1j, 0], [1, 1 + 1j, 2j], [1, 2, 3]],
+    [[0, 0, 1j, 0], [1, 1, 0, 0], [0, 2, 0, 2j]],
+])
+def test_entropy_pure_states_exactly_zero(vectors):
+    assert np.all(kernel_entropies([proj(v) for v in vectors]) == 0.0)
+
+
+def test_entropy_pure_state_floor_above_three_levels():
+    # d >= 4 runs eigvalsh, which leaves eigenvalues of ~eps |M| where a
+    # non-diagonal projector has exact zeros; p log p keeps ~1e-14 bits
+    assert np.all(np.abs(kernel_entropies([proj([1, 1, 1, 1]), proj([1, 2, 2, 4])])) < 2e-14)
+
+
+@pytest.mark.parametrize("mats", [
+    [np.diag([1.0, 0.0]), np.diag([0.0, 2.5])],
+    [np.diag([3.0, 3.0, 0.0]), np.diag([1.0, 2.0, 0.0]), proj([1, 2, 2]) + proj([2, 1, -2]),
+     proj([1, 1, 0]) + 2.0 * proj([1, -1, 1]), proj([1, 1j, 0]) + proj([0, 0, 1])],
+    [np.diag([1.0, 2.0, 0.0, 0.0]), proj([1, 1, 0, 0]) + proj([0, 0, 1, 1]),
+     proj([1, 2, 2, 0]) + proj([2, 1, -2, 0])],
+])
+def test_entropy_rank_deficient(mats):
+    assert_matches_mp(mats)
+
+
+@pytest.mark.parametrize("pair", [[1, 1], [1, 2], [1, 1.5]])
+def test_entropy_nearly_pure_three_levels(pair):
+    # rounding the entries fixes eigenvalues near 0 only to ~eps, so the
+    # entropy floor is ~eps log2(1/eps); the trigonometric roots alone would
+    # split the small pair by ~sqrt(eps) and miss by up to 1e-7 bits
+    rng = np.random.default_rng(30)
+    mats = [with_spectrum([1.0, pair[0] * mu, pair[1] * mu], rng)
+            for mu in np.geomspace(1e-2, 1e-12, 6)]
+    assert_matches_mp(mats, tol=5e-15)
+
+
+@pytest.mark.parametrize("two_s", [1, 2, 3])
+def test_povm_information_matches_eigvalsh_reference(two_s):
+    spin = SpinParams(two_s=two_s, beta=1e-3)
+    quad = SphereQuadrature.build()
+    table = CouplingTable(b=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    rho = EvolvedCluster.build(spin, table, "ising").pair_density(0.7, (0, 1), spin.beta)
+    density, traces, _, mats = povm_conditional_states(rho, spin, quad)
+    p = np.clip(np.linalg.eigvalsh(mats), 0.0, None) / traces[:, None]
+    s_cond = -np.sum(np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0), axis=1)
+    rho2 = partial_trace(rho.entries, [spin.d, spin.d], keep=(1,))
+    j_ref = entropy_exact(DensityMatrix(entries=rho2)) - np.sum(quad.weights * density * s_cond)
+    assert abs(povm_measure_and_classical_info(rho, spin, quad) - j_ref) <= 1e-14

@@ -38,7 +38,6 @@ from spinfid.oracle import (
     entropy_exact,
     mutual_info_numeric,
     partial_trace,
-    povm_entropy_terms,
     povm_measure_and_classical_info,
     scs_amplitudes,
     scs_completeness_check,
@@ -548,16 +547,3 @@ def test_povm_matches_closed_form_and_additivity(quad):
         info = float(mutual_info_numeric(rho))
         assert info - j >= -1e-12  # quantum share nonnegative
         assert info - j == pytest.approx(q_an, rel=2e-3)
-
-
-def test_povm_reference_constant_invariance(quad):
-    cluster = EvolvedCluster.build(ONE, PAIR, "ising")
-    rho = cluster.pair_density(0.6, (0, 1), 1e-3)
-    combos = []
-    for scale in (1.0, 4.0 * np.pi, 0.01):
-        h_angle, s2, s_joint = povm_entropy_terms(rho, ONE, quad, scale=scale)
-        combos.append(h_angle + s2 - s_joint)
-    np.testing.assert_allclose(combos, combos[0], atol=1e-10)
-    # and the printed three-term combination equals the direct evaluation
-    assert combos[0] == pytest.approx(
-        povm_measure_and_classical_info(rho, ONE, quad), abs=1e-10)
