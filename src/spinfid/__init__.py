@@ -58,7 +58,6 @@ from .oracle import (
     SphereQuadrature,
     SpinOperators,
     build_hamiltonian,
-    build_initial_density,
     build_spin_operators,
     classical_info_von_neumann,
     entropy_exact,
@@ -66,7 +65,6 @@ from .oracle import (
     partial_trace,
     povm_measure_and_classical_info,
     scs_completeness_check,
-    von_neumann_measure,
 )
 
 __version__ = "0.1.0"

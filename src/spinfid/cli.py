@@ -24,7 +24,7 @@ from . import ising, memory, oracle
 from .core import SpinParams, TimeGrid
 from .csvio import fmt, write_csv_atomic
 from .errors import ConfigError, GuardError, NumericalError, SpinFidError
-from .lattice import CouplingTable, coupling_rows, lattice_from_config
+from .lattice import CouplingTable, coupling_rows, lattice_from_config, lattice_sum
 
 MODES = ("ising_analytic", "ising_oracle_compare", "dipolar_memory", "povm_validate")
 
@@ -312,8 +312,11 @@ def _run_oracle_compare(cfg: RunConfig, out_dir: Path):
         i_oracle[k] = oracle.mutual_info_numeric(rho)
         j_oracle[k] = oracle.povm_measure_and_classical_info(rho, spin, quad)
 
+    # below this floor I and J are entropy roundoff (at t = 0 the pair is a
+    # product state), so their ratio means nothing and is written as nan
+    floor = 1e-8 * spin.beta**2
     with np.errstate(invalid="ignore", divide="ignore"):
-        q_ratio = np.where(i_oracle > 1e-300, 1.0 - j_oracle / i_oracle, np.nan)
+        q_ratio = np.where(i_analytic > floor, 1.0 - j_oracle / i_oracle, np.nan)
     target = 1.0 / (spin.s + 1.0)
     rows = zip(grid.times, f_oracle, f_analytic, i_oracle, i_analytic,
                j_oracle, j_analytic, q_ratio, np.full(len(grid), target))
@@ -336,7 +339,6 @@ def _run_oracle_compare(cfg: RunConfig, out_dir: Path):
         disc.append(abs(ex / an - 1.0) if an > 0 else np.nan)
     order = math.log2(disc[0] / disc[1]) if disc[1] > 0 else float("nan")
 
-    floor = 1e-8 * spin.beta**2
     imask = i_analytic > floor
     jmask = j_analytic > floor
     lines = [
@@ -352,7 +354,7 @@ def _run_oracle_compare(cfg: RunConfig, out_dir: Path):
 def _run_dipolar_memory(cfg: RunConfig, out_dir: Path):
     spin, table = cfg.spin, cfg.table
     i, j = cfg.pair
-    sum_b2 = float(np.sum(table.couplings_of(i) ** 2))
+    sum_b2 = lattice_sum(table, i, 2)
     moments = cfg.moments
     if moments is None:
         moments = memory.MomentSet.gaussian(memory.dipolar_m2(spin, sum_b2))

@@ -43,10 +43,6 @@ class InvalidPairError(ConfigError):
     """Pair reduction requires two distinct site indices."""
 
 
-class InvalidBasisError(ConfigError):
-    """Measurement basis direction must be a unit vector."""
-
-
 # -- guards -------------------------------------------------------------------
 
 class ClusterTooLargeError(GuardError):

@@ -87,22 +87,12 @@ def environment_factor(ctx: PairContext, t):
     Requires equivalent environments; otherwise the symmetric pair
     formulas do not apply and NonEquivalentSitesError is raised.
     """
-    _env_guard(ctx)
+    if not ctx.equivalent:
+        raise NonEquivalentSitesError(
+            "pair environments differ (other_couplings_i and _j are not the same "
+            "multiset); the symmetric pair formulas need equivalent sites")
     x, scalar = _as_grid(t)
     return _ret(K.fid_product(ctx.spin.d, np.asarray(ctx.other_couplings_i), x), scalar)
-
-
-def one_sided_environment_factors(ctx: PairContext, t):
-    """The two one-sided attenuation factors for non-equivalent pairs.
-
-    Returns (factor multiplying spin-i terms, factor multiplying spin-j
-    terms); each is the product of Dirichlet factors over that spin's own
-    outside couplings.
-    """
-    x, scalar = _as_grid(t)
-    gi = K.fid_product(ctx.spin.d, np.asarray(ctx.other_couplings_i), x)
-    gj = K.fid_product(ctx.spin.d, np.asarray(ctx.other_couplings_j), x)
-    return _ret(gi, scalar), _ret(gj, scalar)
 
 
 def _povm_overlap_coeffs(two_s: int) -> np.ndarray:
@@ -181,18 +171,10 @@ def moments_zz(spin: SpinParams, sum_b2: float, sum_b4: float):
     return m2, m4_gauss - defect, m4_gauss
 
 
-def _env_guard(ctx: PairContext) -> None:
-    if not ctx.equivalent:
-        raise NonEquivalentSitesError(
-            "pair environments differ; the symmetric formulas need equivalent sites "
-            "(compute the two one-sided factors from other_couplings_i / _j instead)")
-
-
 def mutual_info_ising(ctx: PairContext, t):
     """Pair mutual information (bits), exact to second order in beta."""
-    _env_guard(ctx)
     x, scalar = _as_grid(t)
-    env = K.fid_product(ctx.spin.d, np.asarray(ctx.other_couplings_i), x)
+    env = environment_factor(ctx, x)
     g = K.dirichlet_ratio(ctx.spin.d, ctx.b_ij * x)
     val = (ctx.spin.beta * env) ** 2 / (3.0 * LN2) * ctx.spin.casimir * (1.0 - g**2)
     return _ret(val, scalar)
@@ -207,8 +189,7 @@ def von_neumann_split(ctx: PairContext, t):
     if ctx.spin.two_s != 1:
         raise UnsupportedSpinError("orthogonal-measurement split is only given for spin 1/2")
     x, scalar = _as_grid(t)
-    _env_guard(ctx)
-    env = K.fid_product(ctx.spin.d, np.asarray(ctx.other_couplings_i), x)
+    env = environment_factor(ctx, x)
     c = (ctx.spin.beta * env) ** 2 / (8.0 * LN2) * np.sin(ctx.b_ij * x) ** 2
     return _ret(c, scalar), _ret(c.copy(), scalar)
 
@@ -221,9 +202,8 @@ def povm_split(ctx: PairContext, t):
     check. Returns (classical, quantum).
     """
     x, scalar = _as_grid(t)
-    _env_guard(ctx)
+    env = environment_factor(ctx, x)
     spin = ctx.spin
-    env = K.fid_product(spin.d, np.asarray(ctx.other_couplings_i), x)
     g2 = K.dirichlet_ratio(spin.d, ctx.b_ij * x) ** 2
     f = K.poly_in_sin2(_povm_overlap_coeffs(spin.two_s), ctx.b_ij * x)
     pref = (spin.beta * env) ** 2 / (6.0 * LN2)
@@ -241,11 +221,10 @@ def small_time_expansions(ctx: PairContext, t):
     leading order is no longer meaningful.
     """
     x, scalar = _as_grid(t)
-    _env_guard(ctx)
+    env = environment_factor(ctx, x)
     if np.max(np.abs(ctx.b_ij * x)) > _SMALL_TIME_WARN:
         warnings.warn("small-time formulas requested at |b_ij t| > 0.3", stacklevel=2)
     spin = ctx.spin
-    env = K.fid_product(spin.d, np.asarray(ctx.other_couplings_i), x)
     pref = (spin.beta * env) ** 2 / (9.0 * LN2) * 4.0
     i_approx = pref * (spin.casimir * ctx.b_ij * x) ** 2
     q_approx = pref * (spin.s * ctx.b_ij * x) ** 2 * (spin.s + 1.0)

@@ -4,6 +4,11 @@ Brute-force validation backend for every closed-form result: builds the
 cluster Hamiltonian, evolves the deviation density matrix exactly (unitary
 at all sampled times), reduces to pairs, and measures entropies,
 orthogonal-measurement and coherent-state-POVM classical information.
+Each quantity has one path: the oracle evolves the deviation S_x and never
+forms rho(0), the pair mutual information is the exact entropy sum of
+``mutual_info_numeric``, and orthogonal measurements run only through
+``_kernels.vn_info_grid``.
+
 A dipolar H is diagonalized by full Hermitian eigendecomposition; an Ising
 H is already diagonal in the product basis, where D(t)[x, y] =
 S_x[x, y] exp(-i (E_x - E_y) t). The coherent-state POVM integrates the
@@ -32,7 +37,6 @@ from .core import SpinParams, TimeGrid
 from .errors import (
     BetaTooLargeError,
     ClusterTooLargeError,
-    InvalidBasisError,
     InvalidPairError,
     InvalidSpecError,
     NonPhysicalStateError,
@@ -228,16 +232,6 @@ def _beta_guard(spin: SpinParams, n_sites: int, beta: float) -> None:
             f"beta*S*N = {beta * spin.s * n_sites:.3g} >= 1 would break positivity")
 
 
-def build_initial_density(spin: SpinParams, n_sites: int, beta: float) -> DensityMatrix:
-    """High-temperature state (1 + beta sum_i S_xi)/d^N after the pulse."""
-    _beta_guard(spin, n_sites, beta)
-    dim = spin.d**n_sites
-    if dim > DIM_GUARD:
-        raise ClusterTooLargeError(f"d^N = {dim} exceeds the guard {DIM_GUARD}")
-    mat = (np.eye(dim, dtype=complex) + beta * total_sx(spin, n_sites)) / dim
-    return DensityMatrix(entries=mat)
-
-
 def partial_trace(mat: np.ndarray, dims: list[int], keep: tuple[int, ...]) -> np.ndarray:
     """Trace out all subsystems not in ``keep`` (order of ``keep`` kept)."""
     n = len(dims)
@@ -260,72 +254,25 @@ def entropy_exact(rho: DensityMatrix) -> float:
     return float(-np.sum(w * np.log2(w)))
 
 
-class MutualInfo(float):
-    """Mutual information; ``high_t`` carries the purity-based value.
+def mutual_info_numeric(rho12: DensityMatrix) -> float:
+    """Exact pair mutual information S(rho1) + S(rho2) - S(rho12) in bits.
 
-    Behaves as the exact eigenvalue-based number; the second-order
-    trace-form evaluation (which only assumes the state is a small
-    perturbation of the maximally mixed one) is kept alongside so the two
-    can be compared order by order in beta.
-    """
-
-    high_t: float
-
-    def __new__(cls, exact: float, high_t: float):
-        obj = super().__new__(cls, exact)
-        obj.high_t = high_t
-        return obj
-
-
-def mutual_info_numeric(rho12: DensityMatrix, dims: tuple[int, int] | None = None) -> MutualInfo:
-    """Exact pair mutual information plus its high-temperature trace form.
-
-    The trace form is (1/2 ln 2)[d^2 Tr rho12^2 + 1 - d Tr rho1^2
-    - d Tr rho2^2], the second-order expansion of the entropy
-    combination; the two agree to third order in the polarization.
+    Both members have the same dimension d, so rho12 is d^2 x d^2.
     """
     mat = rho12.entries
-    if dims is None:
-        d = math.isqrt(mat.shape[0])
-        if d * d != mat.shape[0]:
-            raise InvalidSpecError("pair matrix dimension is not a perfect square")
-        dims = (d, d)
-    d1, d2 = dims
-    rho1 = partial_trace(mat, [d1, d2], keep=(0,))
-    rho2 = partial_trace(mat, [d1, d2], keep=(1,))
-    exact = (
+    d = math.isqrt(mat.shape[0])
+    if d * d != mat.shape[0]:
+        raise InvalidSpecError("pair matrix dimension is not a perfect square")
+    rho1 = partial_trace(mat, [d, d], keep=(0,))
+    rho2 = partial_trace(mat, [d, d], keep=(1,))
+    return (
         entropy_exact(DensityMatrix(entries=rho1))
         + entropy_exact(DensityMatrix(entries=rho2))
         - entropy_exact(rho12)
     )
-    pur12 = float(np.sum(np.abs(mat) ** 2))
-    pur1 = float(np.sum(np.abs(rho1) ** 2))
-    pur2 = float(np.sum(np.abs(rho2) ** 2))
-    high_t = (d1 * d2 * pur12 + 1.0 - d1 * pur1 - d2 * pur2) / (2.0 * math.log(2.0))
-    return MutualInfo(exact, high_t)
 
 
 # -- orthogonal (von Neumann) measurement on spin 1/2 --------------------------
-
-def _check_direction(direction) -> np.ndarray:
-    n = np.asarray(direction, dtype=float)
-    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-10:
-        raise InvalidBasisError("measurement direction must be a unit 3-vector")
-    return n
-
-
-def von_neumann_measure(rho12: DensityMatrix, direction) -> DensityMatrix:
-    """Project the first (spin-1/2) member onto the +-n axis states."""
-    n = _check_direction(direction)
-    d2 = rho12.dim // 2
-    if rho12.dim != 2 * d2:
-        raise InvalidSpecError("first subsystem must be two-dimensional")
-    sigma_n = np.array([[n[2], n[0] - 1j * n[1]], [n[0] + 1j * n[1], -n[2]]])
-    p_up = np.kron(0.5 * (np.eye(2) + sigma_n), np.eye(d2))
-    p_dn = np.kron(0.5 * (np.eye(2) - sigma_n), np.eye(d2))
-    mat = p_up @ rho12.entries @ p_up + p_dn @ rho12.entries @ p_dn
-    return DensityMatrix(entries=mat)
-
 
 def classical_info_von_neumann(rho12: DensityMatrix, n_theta: int = 32,
                                n_phi: int = 64) -> tuple[float, np.ndarray]:

@@ -130,6 +130,14 @@ def test_run_oracle_compare_mode(tmp_path):
     assert header[:3] == ["t", "F_oracle", "F_analytic"]
     assert np.max(np.abs(data[:, 1] - data[:, 2])) < 1e-10
     assert any("max |F_oracle - F_analytic|" in line for line in results["lines"])
+    # Q/I is nan where I_analytic is below the 1e-8 beta^2 floor (only the
+    # product state at t = 0 here) and 1 - J/I from the columns elsewhere
+    col = dict(zip(header, data.T))
+    above = col["I_analytic"] > 1e-8 * cfg.spin.beta**2
+    np.testing.assert_array_equal(above, col["t"] > 0)
+    assert np.all(np.isnan(col["Q_over_I_oracle"][~above]))
+    np.testing.assert_array_equal(col["Q_over_I_oracle"][above],
+                                  1.0 - col["J_oracle"][above] / col["I_oracle"][above])
 
 
 def test_run_dipolar_memory_mode(tmp_path):

@@ -19,7 +19,6 @@ from spinfid.ising import (
     fid_zz_deficit,
     moments_zz,
     mutual_info_ising,
-    one_sided_environment_factors,
     povm_overlap_factor,
     povm_split,
     richardson_moments,
@@ -215,9 +214,9 @@ def test_environment_factor_refuses_nonequivalent():
         environment_factor(ctx, 0.3)
     with pytest.raises(NonEquivalentSitesError):
         mutual_info_ising(ctx, 0.3)
-    gi, gj = one_sided_environment_factors(ctx, 0.3)
-    assert gi == pytest.approx(np.cos(0.15))
-    assert gj == pytest.approx(np.cos(0.27))
+    # each one-sided factor is the product FID over that spin's own couplings
+    assert fid_zz(HALF, ctx.other_couplings_i, 0.3) == pytest.approx(np.cos(0.15))
+    assert fid_zz(HALF, ctx.other_couplings_j, 0.3) == pytest.approx(np.cos(0.27))
 
 
 def test_concurrent_evaluation_over_time_chunks():
