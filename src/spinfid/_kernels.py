@@ -86,16 +86,8 @@ def fid_deficit(d, couplings, times):
 
 def lattice_fid(d, b_matrix, times):
     """Site-averaged Ising FID: mean over probe i of prod_{j != i} g(b_ij t)."""
-    times = np.asarray(times, dtype=float)
     n = b_matrix.shape[0]
-    acc = np.zeros_like(times)
-    for i in range(n):
-        row = np.ones_like(times)
-        for j in range(n):
-            if j != i:
-                row *= dirichlet_ratio(d, b_matrix[i, j] * times)
-        acc += row
-    return acc / n
+    return sum(fid_product(d, np.delete(b_matrix[i], i), times) for i in range(n)) / n
 
 
 def _uniform_step(times):

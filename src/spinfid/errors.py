@@ -46,7 +46,7 @@ class InvalidPairError(ConfigError):
 # -- guards -------------------------------------------------------------------
 
 class ClusterTooLargeError(GuardError):
-    """Hilbert-space dimension exceeds the exact-simulation guard."""
+    """Hilbert-space dimension or amplitude-chain length exceeds DIM_GUARD."""
 
 
 class BetaTooLargeError(GuardError):
@@ -66,10 +66,6 @@ class NonEquivalentSitesError(GuardError):
 
 
 # -- numerics -----------------------------------------------------------------
-
-class IntegrationError(NumericalError):
-    """The amplitude ODE integrator failed."""
-
 
 class NonPhysicalStateError(NumericalError):
     """A density matrix has a significantly negative eigenvalue."""

@@ -1,9 +1,9 @@
 """Memory-function machinery for the full dipolar Hamiltonian.
 
 The transverse magnetization is expanded over a chain of orthogonal
-operators; the expansion amplitudes obey a closed tridiagonal ODE system
-whose coefficients v_k^2 follow from the spectral moments. The FID is the
-k = 0 amplitude, and the pair mutual information follows from its
+operators; the expansion amplitudes obey a closed tridiagonal linear
+system whose coefficients v_k^2 follow from the spectral moments. The FID
+is the k = 0 amplitude, and the pair mutual information follows from its
 derivative.
 
 Sign convention: with A_0(0) = 1 the consistent system is
@@ -11,10 +11,12 @@ Sign convention: with A_0(0) = 1 the consistent system is
     dA_0/dt = v_0^2 A_1,      dA_k/dt = -A_{k-1} + v_k^2 A_{k+1},
 
 fixed by requiring A_0''(0) = -v_0^2 (so A_0 = 1 - M2 t^2/2 + ...), which
-for a single-level truncation gives A_0 = cos(v_0 t). Internally the
-system is integrated in normalized variables where the generator is skew
-symmetric (hence |A_0| <= 1 is structural), and the amplitudes above are
-recovered by diagonal rescaling.
+for a single-level truncation gives A_0 = cos(v_0 t). In the normalized
+variables y_k = A_k prod_{j<k} v_j the generator is skew symmetric, i times
+the tridiagonal T with off-diagonals v_k up to a diagonal similarity, so
+one eigendecomposition of T solves it exactly as a sum of spectral lines
+(the recursion method: Viswanath and Mueller, Springer 1994), and
+|A_0| <= 1 is structural.
 """
 
 from __future__ import annotations
@@ -23,16 +25,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import SpinParams, TimeGrid
 from .errors import (
-    IntegrationError,
+    ClusterTooLargeError,
     InvalidSpecError,
     NonPhysicalMomentsError,
     NumericalError,
 )
-from .oracle import DensityMatrix, build_spin_operators
+from .oracle import DIM_GUARD, DensityMatrix, build_spin_operators
 
 LN2 = math.log(2.0)
 
@@ -88,18 +89,20 @@ class Hierarchy:
         return len(self.vk2) - 1
 
     def extended(self, k_ext: int = DEFAULT_K_EXT) -> np.ndarray:
-        """Coefficient list actually integrated, per the closure rule.
+        """Coefficient list actually solved, per the closure rule.
 
         ``truncate_zero`` keeps the list as is (the next amplitude is
         pinned to zero); ``gaussian_tail`` continues the last increment
         linearly up to k_ext entries, clipped at zero, matching the
-        asymptotically linear growth of Gaussian-like lines.
+        asymptotically linear growth of Gaussian-like lines. A chain of
+        more than DIM_GUARD levels raises ClusterTooLargeError.
         """
         base = np.asarray(self.vk2, dtype=float)
-        if self.closure == "truncate_zero" or k_ext <= base.size:
-            return base
+        size = base.size if self.closure == "truncate_zero" else max(base.size, k_ext)
+        if size > DIM_GUARD:
+            raise ClusterTooLargeError(f"chain of {size} levels exceeds the guard {DIM_GUARD}")
         step = base[-1] - base[-2]
-        tail = base[-1] + step * np.arange(1, k_ext - base.size + 1)
+        tail = base[-1] + step * np.arange(1, size - base.size + 1)
         return np.concatenate([base, np.clip(tail, 0.0, None)])
 
 
@@ -146,14 +149,16 @@ class AmplitudeSolution:
             raise NumericalError("|A_0| exceeded 1 beyond tolerance")
 
 
-def solve_amplitudes(h: Hierarchy, grid: TimeGrid, k_ext: int = DEFAULT_K_EXT,
-                     rtol: float = 1e-12, atol: float = 1e-14) -> AmplitudeSolution:
-    """Integrate the amplitude chain on the grid.
+def solve_amplitudes(h: Hierarchy, grid: TimeGrid,
+                     k_ext: int = DEFAULT_K_EXT) -> AmplitudeSolution:
+    """Exact amplitudes of the chain on the grid.
 
-    Uses an adaptive explicit Runge-Kutta method (DOP853) on the
-    skew-symmetric normalized system; tolerances default tight enough
-    that closure error dominates. Rows 0..K of the result hold the
-    amplitudes of the user-visible hierarchy levels.
+    With T = U diag(lambda) U^T the tridiagonal matrix with off-diagonals
+    v_k of ``h.extended(k_ext)`` (at most DIM_GUARD levels, one dense
+    ``eigh``), y_k(t) = Re(i^k sum_p U_kp U_0p exp(i lambda_p t)). Even rows
+    take the form delta_k0 - 2 sum_p U_kp U_0p sin^2(lambda_p t / 2), so
+    A(0) = e_0 holds exactly however small the v_k are. Rows 0..K of the
+    result hold the amplitudes of the user-visible hierarchy levels.
     """
     t = grid.times
     if t[0] != 0.0:
@@ -161,27 +166,23 @@ def solve_amplitudes(h: Hierarchy, grid: TimeGrid, k_ext: int = DEFAULT_K_EXT,
     vk2 = h.extended(k_ext)
     # levels 0..len(vk2)-1 are kept and the next amplitude is pinned to
     # zero, so the last v_k^2 never acts as a coupling
-    n_levels = vk2.size
     c = np.sqrt(vk2[:-1])
-
-    def rhs(_t, y):
-        out = np.empty_like(y)
-        out[0] = c[0] * y[1]
-        out[1:-1] = -c[:-1] * y[:-2] + c[1:] * y[2:]
-        out[-1] = -c[-1] * y[-2]
-        return out
-
-    y0 = np.zeros(n_levels)
-    y0[0] = 1.0
-    sol = solve_ivp(rhs, (t[0], t[-1]), y0, method="DOP853",
-                    t_eval=t, rtol=rtol, atol=atol)
-    if not sol.success:
-        raise IntegrationError(f"amplitude integration failed: {sol.message}")
+    lam, u = np.linalg.eigh(np.diag(c, 1) + np.diag(c, -1))
+    weights = u[: h.K + 1] * u[0]
+    y = np.empty((h.K + 1, t.size))
+    chunk = max(1, int(4e6) // lam.size)
+    for lo in range(0, t.size, chunk):
+        half = np.multiply.outer(lam / 2.0, t[lo:lo + chunk])
+        y[0::2, lo:lo + chunk] = -2.0 * (weights[0::2] @ np.sin(half) ** 2)
+        y[1::2, lo:lo + chunk] = weights[1::2] @ np.sin(2.0 * half)
+    y[0] += 1.0
+    # the sums are Re z_k (even k) and Im z_k (odd k); y_k = Re(i^k z_k)
+    # adds the signs +, -, -, + for k = 0, 1, 2, 3 (mod 4)
+    y *= (-1.0) ** ((np.arange(h.K + 1)[:, None] + 1) // 2)
     # back to the unnormalized amplitudes: A_k = y_k / prod_{j<k} v_j, for
     # the returned rows only (the full product overflows at large k_ext)
-    norms = np.concatenate([[1.0], np.cumprod(c[: h.K])])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        amp = np.where(norms[:, None] > 0.0, sol.y[: h.K + 1] / norms[:, None], 0.0)
+    norms = np.concatenate([[1.0], np.cumprod(c[: h.K])])[:, None]
+    amp = np.divide(y, norms, out=np.zeros_like(y), where=norms > 0.0)
     return AmplitudeSolution(grid=grid, a=amp, vk2=tuple(vk2))
 
 
@@ -191,7 +192,7 @@ def fid_dipolar(sol: AmplitudeSolution) -> np.ndarray:
 
 
 def fid_derivative(sol: AmplitudeSolution) -> np.ndarray:
-    """dF/dt from the chain state (v_0^2 A_1), exact within the solver."""
+    """dF/dt from the chain state (v_0^2 A_1)."""
     return sol.vk2[0] * sol.a[1]
 
 

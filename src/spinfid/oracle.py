@@ -7,7 +7,7 @@ orthogonal-measurement and coherent-state-POVM classical information.
 Each quantity has one path: the oracle evolves the deviation S_x and never
 forms rho(0), the pair mutual information is the exact entropy sum of
 ``mutual_info_numeric``, and orthogonal measurements run only through
-``_kernels.vn_info_grid``.
+``_kernels.vn_info_grid``, in the axis scan and in its compass search.
 
 A dipolar H is diagonalized by full Hermitian eigendecomposition; an Ising
 H is already diagonal in the product basis, where D(t)[x, y] =
@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import _kernels as K
 from .core import SpinParams, TimeGrid
@@ -50,6 +49,11 @@ HAMILTONIAN_MODES = ("ising", "dipolar")
 
 _HERM_TOL = 1e-12
 _EIG_FLOOR = -1e-8
+
+# axis search: the (theta, phi) step offsets of the eight compass
+# neighbours, and the step (rad) at which the search stops
+_COMPASS = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], dtype=float)
+_AXIS_STEP = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,12 +278,21 @@ def mutual_info_numeric(rho12: DensityMatrix) -> float:
 
 # -- orthogonal (von Neumann) measurement on spin 1/2 --------------------------
 
+def _axes(theta, phi) -> np.ndarray:
+    """Unit vectors (n, 3) at polar angles theta and azimuths phi."""
+    return np.column_stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                            np.cos(theta)])
+
+
 def classical_info_von_neumann(rho12: DensityMatrix, n_theta: int = 32,
                                n_phi: int = 64) -> tuple[float, np.ndarray]:
     """Maximize post-measurement mutual information over the unit sphere.
 
-    Coarse (n_theta x n_phi) scan followed by Nelder-Mead refinement to
-    1e-10 in the information; returns (classical info, best direction).
+    A coarse (n_theta x n_phi) scan, then a compass search on (theta, phi):
+    it moves to the best of the eight neighbours one step away while one
+    beats the current axis, else halves the steps, down to _AXIS_STEP rad.
+    Every axis goes through ``_kernels.vn_info_grid``. Returns (classical
+    info, best direction).
     """
     if rho12.dim != 4:
         raise UnsupportedSpinError("direction search is implemented for a spin-1/2 pair (dim 4)")
@@ -289,26 +302,21 @@ def classical_info_von_neumann(rho12: DensityMatrix, n_theta: int = 32,
 
     thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    th, ph = np.meshgrid(thetas, phis, indexing="ij")
-    dirs = np.column_stack([
-        (np.sin(th) * np.cos(ph)).ravel(),
-        (np.sin(th) * np.sin(ph)).ravel(),
-        np.cos(th).ravel(),
-    ])
-    info = K.vn_info_grid(rho4, dirs, s2)
+    th, ph = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
+    info = K.vn_info_grid(rho4, _axes(th, ph), s2)
     best = int(np.argmax(info))
+    angles, value = np.array([th[best], ph[best]]), info[best]
 
-    def objective(angles):
-        t, p = angles
-        nv = np.array([[math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)]])
-        return -float(K.vn_info_grid(rho4, nv, s2)[0])
-
-    start = (float(th.ravel()[best]), float(ph.ravel()[best]))
-    res = minimize(objective, start, method="Nelder-Mead",
-                   options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 400})
-    t, p = res.x
-    direction = np.array([math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)])
-    return -float(res.fun), direction
+    step = np.array([np.pi / n_theta, 2.0 * np.pi / n_phi])
+    while step.max() > _AXIS_STEP:
+        cand = angles + _COMPASS * step
+        vals = K.vn_info_grid(rho4, _axes(cand[:, 0], cand[:, 1]), s2)
+        k = int(np.argmax(vals))
+        if vals[k] > value:
+            angles, value = cand[k], vals[k]
+        else:
+            step /= 2.0
+    return float(value), _axes(*angles)[0]
 
 
 # -- spin coherent states and the POVM ----------------------------------------

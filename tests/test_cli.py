@@ -1,7 +1,10 @@
 """Config validation, run modes, CSV round trips, and exit codes."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +218,37 @@ def test_main_guard_error_exit_3(tmp_path, capsys):
     assert "guard error" in capsys.readouterr().err
 
 
+def test_main_chain_guard_exit_3(tmp_path, capsys):
+    path = write_cfg(tmp_path, minimal(
+        mode="dipolar_memory",
+        hierarchy={"K": 2, "closure": "gaussian_tail", "K_ext": oracle.DIM_GUARD + 1},
+        grid={"t_max": 1.0, "n_points": 5}))
+    assert main(["run", path, "--out", str(tmp_path)]) == 3
+    assert "guard error" in capsys.readouterr().err
+
+
+def test_shipped_configs_load_no_scipy(tmp_path):
+    # a fresh interpreter, so that modules imported by the tests do not count
+    repo = Path(__file__).resolve().parents[1]
+    script = f"""
+import sys
+from pathlib import Path
+import spinfid
+from spinfid.cli import main
+for cfg in sorted(Path({str(repo / "configs")!r}).glob("*.json")):
+    assert main(["run", str(cfg), "--out", str(Path({str(tmp_path)!r}) / cfg.stem)]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+sys.exit(f"scipy modules loaded: {{loaded}}" if loaded else 0)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(repo / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(tmp_path.glob("*/*.csv"))) == 4
+
+
 def test_main_missing_file_exit_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "none.json")]) == 2
 
@@ -234,8 +268,6 @@ def test_load_config_reads_file(tmp_path):
 
 
 def test_shipped_sample_configs_validate():
-    from pathlib import Path
-
     config_dir = Path(__file__).resolve().parents[1] / "configs"
     samples = sorted(config_dir.glob("*.json"))
     assert len(samples) == 4

@@ -1,12 +1,13 @@
-"""Amplitude-chain hierarchy: coefficients, ODE solutions, information."""
+"""Amplitude-chain hierarchy: coefficients, exact chain solutions, information."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from spinfid.core import SpinParams, TimeGrid
-from spinfid.errors import InvalidSpecError, NonPhysicalMomentsError
+from spinfid.errors import ClusterTooLargeError, InvalidSpecError, NonPhysicalMomentsError
 from spinfid.ising import fid_gaussian, moments_zz
 from spinfid.memory import (
     AmplitudeSolution,
@@ -21,7 +22,7 @@ from spinfid.memory import (
     total_information,
     vk_from_moments,
 )
-from spinfid.oracle import partial_trace
+from spinfid.oracle import DIM_GUARD, partial_trace
 
 LN2 = math.log(2.0)
 HALF = SpinParams(two_s=1, beta=1e-3)
@@ -73,7 +74,7 @@ def test_gaussian_tail_extension_continues_increment():
     np.testing.assert_allclose(h0.extended(6), [1, 2, 3])
 
 
-# -- ODE solutions ------------------------------------------------------------------
+# -- chain solutions ----------------------------------------------------------------
 
 def grid(t_max=3.0, n=61):
     return TimeGrid.linspace(t_max, n)
@@ -124,6 +125,68 @@ def test_initial_conditions_and_bound():
     assert sol.a[0, 0] == pytest.approx(1.0, abs=1e-13)
     assert np.max(np.abs(sol.a[1:, 0])) < 1e-13
     assert np.max(np.abs(sol.a[0])) <= 1.0 + 1e-9
+
+
+def test_initial_conditions_exact_for_tiny_couplings():
+    # the plain line sum would leave A_2(0) = sum_p U_2p U_0p / (v_0 v_1),
+    # roundoff over 1e-8, at ~1e-8
+    g = grid()
+    t = g.times
+    sol = solve_amplitudes(Hierarchy(vk2=(1e-8, 1e-8, 1e-8)), g)
+    assert sol.a[:, 0].tolist() == [1.0, 0.0, 0.0]
+    # weak coupling: A_0 ~ 1, A_1 ~ -t, A_2 ~ t^2 / 2
+    np.testing.assert_allclose(sol.a[0], 1.0, rtol=0, atol=1e-7)
+    np.testing.assert_allclose(sol.a[1], -t, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(sol.a[2], t**2 / 2.0, rtol=0, atol=1e-6)
+
+
+def dop853_amplitudes(h, grid, k_ext):
+    """Reference: the chain integrated by DOP853 in normalized variables."""
+    vk2 = h.extended(k_ext)
+    c = np.sqrt(vk2[:-1])
+
+    def rhs(_t, y):
+        out = np.empty_like(y)
+        out[0] = c[0] * y[1]
+        out[1:-1] = -c[:-1] * y[:-2] + c[1:] * y[2:]
+        out[-1] = -c[-1] * y[-2]
+        return out
+
+    y0 = np.zeros(vk2.size)
+    y0[0] = 1.0
+    t = grid.times
+    sol = solve_ivp(rhs, (t[0], t[-1]), y0, method="DOP853", t_eval=t, rtol=1e-12, atol=1e-14)
+    assert sol.success
+    norms = np.concatenate([[1.0], np.cumprod(c[: h.K])])[:, None]
+    return np.divide(sol.y[: h.K + 1], norms, out=np.zeros((h.K + 1, t.size)),
+                     where=norms > 0.0)
+
+
+@pytest.mark.parametrize("vk2, closure, k_ext", [
+    ((1.0, 2.0, 3.0), "gaussian_tail", 64),
+    ((1.0, 2.0, 3.0), "gaussian_tail", 128),
+    ((1.0, 2.0, 3.0), "gaussian_tail", 256),
+    ((9.0, 18.0, 27.0), "gaussian_tail", 64),
+    ((9.0, 18.0, 27.0), "gaussian_tail", 128),
+    ((9.0, 18.0, 27.0), "gaussian_tail", 256),
+    ((3.1, 1.1, 0.7), "gaussian_tail", 64),  # tail clipped at zero from k = 4
+    ((1.5, 2.0, 0.0, 1.0), "truncate_zero", 64),  # A_3 decoupled, reported as 0
+])
+def test_exact_chain_matches_dop853(vk2, closure, k_ext):
+    h = Hierarchy(vk2=vk2, closure=closure)
+    g = grid(3.0, 61)
+    sol = solve_amplitudes(h, g, k_ext=k_ext)
+    np.testing.assert_allclose(sol.a, dop853_amplitudes(h, g, k_ext), rtol=0, atol=1e-10)
+
+
+def test_chain_longer_than_guard_rejected():
+    g = grid(1.0, 5)
+    with pytest.raises(ClusterTooLargeError):
+        solve_amplitudes(Hierarchy(vk2=(1.0, 2.0, 3.0)), g, k_ext=DIM_GUARD + 1)
+    # a truncated chain ignores k_ext; one at the guard runs
+    solve_amplitudes(Hierarchy(vk2=(1.0, 2.0, 3.0), closure="truncate_zero"), g,
+                     k_ext=DIM_GUARD + 1)
+    assert Hierarchy(vk2=(1.0, 2.0)).extended(DIM_GUARD).size == DIM_GUARD
 
 
 def test_fid_curvature_at_zero_is_minus_v0_squared():

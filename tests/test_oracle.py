@@ -6,6 +6,7 @@ from functools import reduce
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import minimize
 
 from spinfid import _kernels as K
 from spinfid import oracle
@@ -496,6 +497,57 @@ def test_classical_info_maximization():
     flat = DensityMatrix(entries=np.kron(np.diag([0.6, 0.4]), np.diag([0.3, 0.7])).astype(complex))
     c0, _ = classical_info_von_neumann(flat, n_theta=8, n_phi=16)
     assert abs(c0) < 1e-12
+
+
+def nelder_mead_classical_info(rho12, n_theta=32, n_phi=64):
+    """Reference: the same coarse scan refined by scipy's Nelder-Mead."""
+    rho4 = rho12.entries.reshape(2, 2, 2, 2)
+    s2 = entropy_exact(DensityMatrix(entries=partial_trace(rho12.entries, [2, 2], keep=(1,))))
+    thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
+    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    th, ph = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
+    dirs = np.column_stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
+    best = int(np.argmax(K.vn_info_grid(rho4, dirs, s2)))
+
+    def objective(angles):
+        t, p = angles
+        nv = np.array([[math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)]])
+        return -float(K.vn_info_grid(rho4, nv, s2)[0])
+
+    res = minimize(objective, (th[best], ph[best]), method="Nelder-Mead",
+                   options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 400})
+    return -float(res.fun)
+
+
+def axis_search_states():
+    """Ising and dipolar oracle pairs, and random two-qubit states."""
+    rng = np.random.default_rng(5)
+    states = []
+    for mode in ("ising", "dipolar"):
+        for n in (3, 4):
+            b = rng.uniform(-1.0, 1.0, (n, n))
+            b = b + b.T
+            np.fill_diagonal(b, 0.0)
+            cluster = EvolvedCluster.build(HALF, CouplingTable(b=b), mode)
+            states += [cluster.pair_density(t, (0, 1), 1e-2) for t in (0.3, 0.7, 1.3)]
+    for _ in range(12):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m = g @ g.conj().T
+        states.append(DensityMatrix(entries=m / np.trace(m).real))
+    return states
+
+
+def test_axis_search_matches_nelder_mead():
+    states = axis_search_states()
+    assert len(states) >= 20
+    for rho in states:
+        c, direction = classical_info_von_neumann(rho)
+        assert c >= nelder_mead_classical_info(rho) - 1e-15
+        assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-15)
+        # the returned axis is the one whose information is reported
+        s2 = entropy_exact(DensityMatrix(entries=partial_trace(rho.entries, [2, 2], keep=(1,))))
+        info = K.vn_info_grid(rho.entries.reshape(2, 2, 2, 2), direction[None, :], s2)[0]
+        assert info == pytest.approx(c, rel=0, abs=1e-15)
 
 
 # -- coherent states and the POVM ------------------------------------------------------
