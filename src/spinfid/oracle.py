@@ -9,14 +9,19 @@ forms rho(0), the pair mutual information is the exact entropy sum of
 ``mutual_info_numeric``, and orthogonal measurements run only through
 ``_kernels.vn_info_grid``, in the axis scan and in its compass search.
 
-A dipolar H is diagonalized by full Hermitian eigendecomposition; an Ising
-H is already diagonal in the product basis, where D(t)[x, y] =
-S_x[x, y] exp(-i (E_x - E_y) t). The coherent-state POVM integrates the
-entropy of one conditional d x d state per quadrature node (8192 at the
-64 x 128 default); ``_kernels.entropy_norm_batch`` takes their eigenvalues
-in closed form for d = 2 and 3, and from ``eigvalsh`` for d >= 4. Those
-closed forms are generic Hermitian eigenvalue formulas and share nothing
-with the analytic modules they check.
+The secular H conserves total M_z, so the oracle works in total-M_z
+sectors: ``eigh`` runs on each diagonal block of a dipolar H, and S_x,
+which links only adjacent sectors, is kept as rotated adjacent-sector
+blocks (the symmetry-block method of QuSpin, Weinberg & Bukov, SciPost
+Phys. 2, 003, 2017). An Ising H is already diagonal in the product basis,
+where D(t)[x, y] = S_x[x, y] exp(-i (E_x - E_y) t), and no ``eigh`` runs.
+
+The coherent-state POVM integrates the entropy of one conditional d x d
+state per quadrature node (8192 at the 64 x 128 default);
+``_kernels.entropy_norm_batch`` takes their eigenvalues in closed form for
+d = 2 and 3, and from ``eigvalsh`` for d >= 4. Those closed forms are
+generic Hermitian eigenvalue formulas and share nothing with the analytic
+modules they check.
 
 Because the evolved state is exactly (1 + beta * D(t))/Z with D(t)
 independent of beta, the FID is beta-independent and all beta scalings
@@ -109,15 +114,18 @@ def _site_indices(d: int, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     return k, d ** np.arange(n_sites - 1, -1, -1)
 
 
-def build_hamiltonian(spin: SpinParams, table: CouplingTable, mode: str) -> np.ndarray:
-    """Secular coupling Hamiltonian of the cluster, real and dense.
+def _hamiltonian_terms(spin: SpinParams, table: CouplingTable,
+                       mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal of the secular coupling Hamiltonian, and the rows, columns
+    and values of its flip-flop nonzeros above the diagonal (none in Ising
+    mode).
 
     The pair sum runs over ordered index pairs, so each unordered pair
     {i, j} contributes 2 b_ij S_zi S_zj (plus the flip-flop part with
     a_ij in dipolar mode). This convention is what makes the product FID
     formula hold with the stored b matrix.
 
-    Entries are written by basis-state index: the Ising part is diagonal,
+    Entries are found by basis-state index: the Ising part is diagonal,
     and S+_i S-_j links only the two states whose indices at sites i and j
     differ by one step each.
     """
@@ -131,97 +139,200 @@ def build_hamiltonian(spin: SpinParams, table: CouplingTable, mode: str) -> np.n
     ops = build_spin_operators(spin)
     k, strides = _site_indices(d, n)
     m = np.diag(ops.sz)[k]
-    ham = np.zeros((dim, dim))
     diag = np.zeros(dim)
+    rows, cols, vals = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)], [np.empty(0)]
     for i in range(n):
         for j in range(i + 1, n):
             diag += 2.0 * table.b[i, j] * m[i] * m[j]
             if mode == "dipolar":
                 # columns where site i can be raised and site j lowered
                 col = np.flatnonzero((k[i] > 0) & (k[j] < d - 1))
-                row = col - strides[i] + strides[j]
                 ki, kj = k[i, col], k[j, col]
-                ham[row, col] = ham[col, row] = (
-                    table.a[i, j] * (ops.s_plus[ki - 1, ki] * ops.s_minus[kj + 1, kj]))
-    np.fill_diagonal(ham, diag)
+                rows.append(col - strides[i] + strides[j])
+                cols.append(col)
+                vals.append(table.a[i, j] * (ops.s_plus[ki - 1, ki] * ops.s_minus[kj + 1, kj]))
+    return diag, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def build_hamiltonian(spin: SpinParams, table: CouplingTable, mode: str) -> np.ndarray:
+    """Secular coupling Hamiltonian of the cluster, real and dense, from
+    the entries of ``_hamiltonian_terms``."""
+    diag, rows, cols, vals = _hamiltonian_terms(spin, table, mode)
+    ham = np.diag(diag)
+    ham[rows, cols] = ham[cols, rows] = vals
     return ham
+
+
+def _sx_nonzeros(spin: SpinParams, n_sites: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the nonzeros of sum_i S_xi above the
+    diagonal: S_xi links each state whose site i can be raised (k > 0) to
+    the state one index stride of site i lower."""
+    ops = build_spin_operators(spin)
+    k, strides = _site_indices(spin.d, n_sites)
+    cols = [np.flatnonzero(k[i] > 0) for i in range(n_sites)]
+    rows = [col - stride for col, stride in zip(cols, strides)]
+    vals = [ops.sx[k[i, col] - 1, k[i, col]] for i, col in enumerate(cols)]
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 def total_sx(spin: SpinParams, n_sites: int) -> np.ndarray:
     """Total transverse spin sum_i S_xi, real and dense."""
-    ops = build_spin_operators(spin)
-    k, strides = _site_indices(spin.d, n_sites)
+    rows, cols, vals = _sx_nonzeros(spin, n_sites)
     sx = np.zeros((spin.d**n_sites,) * 2)
-    for i in range(n_sites):
-        col = np.flatnonzero(k[i] > 0)
-        ki = k[i, col]
-        sx[col - strides[i], col] = sx[col, col - strides[i]] = ops.sx[ki - 1, ki]
+    sx[rows, cols] = sx[cols, rows] = vals
     return sx
+
+
+def _mz_sectors(d: int, n_sites: int) -> list[np.ndarray]:
+    """Product-basis indices of each total-M_z sector, in basis order.
+
+    Sector q holds the states whose site indices k (m = S - k) sum to q,
+    so its total M_z is N S - q; q runs from 0 to N (d - 1).
+    """
+    q = _site_indices(d, n_sites)[0].sum(axis=0)
+    return np.split(np.argsort(q, kind="stable"), np.cumsum(np.bincount(q))[:-1])
+
+
+def _sector_blocks(sectors: list[np.ndarray], rows: np.ndarray, cols: np.ndarray,
+                   vals: np.ndarray, shift: int) -> list[np.ndarray]:
+    """Dense blocks [q, q + shift] of a matrix given by its nonzeros, each
+    of which links a row in some sector q to a column in sector q + shift;
+    rows and columns of a block are in basis order, as in ``_mz_sectors``."""
+    sector = np.empty(sum(s.size for s in sectors), dtype=int)
+    place = np.empty_like(sector)
+    for q, s in enumerate(sectors):
+        sector[s], place[s] = q, np.arange(s.size)
+    blocks = []
+    for q in range(len(sectors) - shift):
+        blk = np.zeros((sectors[q].size, sectors[q + shift].size))
+        mine = sector[rows] == q
+        blk[place[rows[mine]], place[cols[mine]]] = vals[mine]
+        blocks.append(blk)
+    return blocks
 
 
 @dataclass(frozen=True, eq=False)
 class EvolvedCluster:
     """One cluster in an eigenbasis of H, reusable across times and observables.
 
-    Dipolar clusters are diagonalized by ``eigh``; for Ising clusters the
-    product basis is the eigenbasis and no diagonalization runs.
+    S_x is held only as blocks B between eigenstates of H: with
+    p = exp(-i E t) on a block's row and column eigenstates, the evolved
+    exp(-iHt) S_x exp(iHt) is the sum over blocks of V_r (p_r B p_c^*) V_c^T
+    and of its conjugate transpose.
+
+    - Dipolar: H conserves total M_z, so it is block diagonal over the
+      sectors of ``_mz_sectors``, and S_x links only sectors q and q + 1.
+      ``eigh`` runs on each sector, and each adjacent pair holds one dense
+      block B_q = V_q^T S_x[q, q+1] V_{q+1}. No dense dim x dim eigenvector
+      matrix or rotated S_x is held.
+    - Ising: H is diagonal in the product basis, so no diagonalization runs
+      and there is no V. The one block is the list of nonzeros of the upper
+      triangle of S_x, each evolved by its own phase.
     """
 
     spin: SpinParams
     table: CouplingTable
     mode: str
-    eigvals: np.ndarray = field(repr=False)
-    # None when H is diagonal in the product basis (Ising mode)
-    eigvecs: np.ndarray | None = field(repr=False)
-    sx_eigbasis: np.ndarray = field(repr=False)
+    # product-basis row and column indices of each block, and their
+    # energies, shaped to broadcast to the block: as from np.ix_ for a dense
+    # block, as aligned 1-D arrays for a list of nonzeros
+    index: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
+    energies: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
+    # eigenvectors (V_r, V_c) of each block's row and column sectors; None
+    # when H is diagonal in the product basis (Ising mode)
+    vecs: tuple[tuple[np.ndarray, np.ndarray], ...] | None = field(repr=False)
+    sx_blocks: tuple[np.ndarray, ...] = field(repr=False)
 
     @classmethod
     def build(cls, spin: SpinParams, table: CouplingTable, mode: str) -> "EvolvedCluster":
-        ham = build_hamiltonian(spin, table, mode)
-        sx = total_sx(spin, table.n_sites)
+        diag, rows, cols, vals = _hamiltonian_terms(spin, table, mode)
         if mode == "ising":
-            return cls(spin=spin, table=table, mode=mode, eigvals=np.diag(ham).copy(),
-                       eigvecs=None, sx_eigbasis=sx)
-        w, v = np.linalg.eigh(ham)
-        return cls(spin=spin, table=table, mode=mode, eigvals=w, eigvecs=v,
-                   sx_eigbasis=v.T @ sx @ v)
+            rows, cols, vals = _sx_nonzeros(spin, table.n_sites)
+            return cls(spin=spin, table=table, mode=mode, index=((rows, cols),),
+                       energies=((diag[rows], diag[cols]),), vecs=None, sx_blocks=(vals,))
+        # H's sector blocks and S_x's adjacent-sector blocks are filled from
+        # their nonzeros; neither matrix is formed densely
+        sectors = _mz_sectors(spin.d, table.n_sites)
+        every = np.arange(diag.size)
+        ham = _sector_blocks(sectors, np.concatenate([every, rows, cols]),
+                             np.concatenate([every, cols, rows]),
+                             np.concatenate([diag, vals, vals]), shift=0)
+        sx = _sector_blocks(sectors, *_sx_nonzeros(spin, table.n_sites), shift=1)
+        eigs = [np.linalg.eigh(h) for h in ham]
+        links = range(len(sectors) - 1)
+        vecs = tuple((eigs[q][1], eigs[q + 1][1]) for q in links)
+        return cls(spin=spin, table=table, mode=mode,
+                   index=tuple(np.ix_(sectors[q], sectors[q + 1]) for q in links),
+                   energies=tuple((eigs[q][0][:, None], eigs[q + 1][0][None, :]) for q in links),
+                   vecs=vecs,
+                   sx_blocks=tuple(v_r.T @ blk @ v_c for (v_r, v_c), blk in zip(vecs, sx)))
 
     @property
     def n_sites(self) -> int:
         return self.table.n_sites
 
+    def _evolved_blocks(self, t: float):
+        """Each block of exp(-iHt) S_x exp(iHt) in the product basis, with its
+        row and column indices; the conjugate transposes are not listed."""
+        for k, ((rows, cols), (e_r, e_c), blk) in enumerate(
+                zip(self.index, self.energies, self.sx_blocks)):
+            mat = np.exp(-1j * t * e_r) * blk * np.exp(1j * t * e_c)
+            if self.vecs is not None:
+                # two real products: faster than one complex-by-real product
+                v_r, v_c = self.vecs[k]
+                mat = v_r @ mat.real @ v_c.T + 1j * (v_r @ mat.imag @ v_c.T)
+            yield rows, cols, mat
+
     def deviation(self, t: float) -> np.ndarray:
-        """Evolved transverse magnetization exp(-iHt) S_x exp(iHt)."""
-        phase = np.exp(-1j * self.eigvals * t)
-        mat = (phase[:, None] * self.sx_eigbasis) * phase.conj()[None, :]
-        if self.eigvecs is None:
-            return mat
-        # two real products: faster than one complex-by-real product
-        v = self.eigvecs
-        return v @ mat.real @ v.T + 1j * (v @ mat.imag @ v.T)
+        """Evolved transverse magnetization exp(-iHt) S_x exp(iHt), dense in
+        the product basis."""
+        dim = self.spin.d ** self.n_sites
+        dev = np.zeros((dim, dim), dtype=complex)
+        for rows, cols, mat in self._evolved_blocks(t):
+            dev[rows, cols] = mat
+            dev[cols.T, rows.T] = mat.T.conj()
+        return dev
 
     def fid(self, grid: TimeGrid) -> np.ndarray:
         """Normalized Tr{S_x rho(t)} / Tr{S_x rho(0)}; beta-independent."""
-        w2 = self.sx_eigbasis**2
-        diag_w = float(np.sum(np.diag(w2)))
-        # each strict-upper pair (i, j) is one line of weight 2 w2[i, j];
-        # lines of weight <= 1e-18 are dropped
-        iu, ju = np.nonzero(np.triu(w2 > 1e-18 / 2, k=1))
-        freqs = self.eigvals[iu] - self.eigvals[ju]
-        series = diag_w + K.cos_sum(2.0 * w2[iu, ju], freqs, grid.times)
-        return series / float(np.sum(w2))  # Tr S_x^2
+        weights, freqs, norm = [], [], 0.0
+        for (e_r, e_c), blk in zip(self.energies, self.sx_blocks):
+            w2 = blk**2
+            norm += 2.0 * float(np.sum(w2))  # Tr S_x^2: each block and its transpose
+            # each entry is one line of weight 2 w2; lines of weight <= 1e-18
+            # are dropped
+            keep = w2 > 1e-18 / 2
+            weights.append(2.0 * w2[keep])
+            freqs.append((e_r - e_c)[keep])
+        return K.cos_sum(np.concatenate(weights), np.concatenate(freqs), grid.times) / norm
 
     def pair_deviation(self, t: float, pair: tuple[int, int]) -> np.ndarray:
-        """Reduced deviation matrix: the pair state is (1 + beta D)/d^2."""
+        """Reduced deviation matrix: the pair state is (1 + beta D)/d^2.
+
+        The trace over the other sites is taken block by block: an entry
+        of D(t) contributes only where its row and column states agree on
+        every site outside the pair. The dense D(t) is never formed.
+        """
         i, j = pair
         if i == j:
             raise InvalidPairError("pair indices must differ")
         if not (0 <= i < self.n_sites and 0 <= j < self.n_sites):
             raise InvalidPairError("pair index out of range")
-        dev = self.deviation(t)
-        dims = [self.spin.d] * self.n_sites
-        reduced = partial_trace(dev, dims, keep=(i, j))
-        return reduced / self.spin.d ** (self.n_sites - 2)
+        d = self.spin.d
+        k, strides = _site_indices(d, self.n_sites)
+        # each basis state's index in the pair space, and in the rest
+        inner = k[i] * d + k[j]
+        outer = np.arange(k.shape[1]) - k[i] * strides[i] - k[j] * strides[j]
+        size = d**4
+        reduced = np.zeros(size, dtype=complex)
+        for rows, cols, mat in self._evolved_blocks(t):
+            same = outer[rows] == outer[cols]
+            slot = (inner[rows] * d**2 + inner[cols])[same]
+            kept = mat[same]
+            reduced += (np.bincount(slot, kept.real, size)
+                        + 1j * np.bincount(slot, kept.imag, size))
+        reduced = reduced.reshape(d**2, d**2)
+        return (reduced + reduced.conj().T) / d ** (self.n_sites - 2)
 
     def pair_density(self, t: float, pair: tuple[int, int], beta: float) -> DensityMatrix:
         _beta_guard(self.spin, 2, beta)

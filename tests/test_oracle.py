@@ -27,6 +27,7 @@ from spinfid.ising import (
     povm_split,
 )
 from spinfid.lattice import CouplingTable
+from spinfid.memory import dipolar_m2
 from spinfid.oracle import (
     DIM_GUARD,
     DensityMatrix,
@@ -153,6 +154,23 @@ def test_hamiltonian_commutes_with_total_sz():
                                    np.zeros_like(ham), atol=1e-13)
 
 
+@pytest.mark.parametrize("two_s, n", [(1, 6), (2, 4), (3, 3)])
+def test_dipolar_hamiltonian_is_block_diagonal_in_total_mz(two_s, n):
+    # the invariant EvolvedCluster's sector path rests on: no entry of H,
+    # not even a roundoff-sized one, links states of different total M_z
+    spin = SpinParams(two_s)
+    ham = build_hamiltonian(spin, random_flipflop(n, seed=two_s), "dipolar")
+    total_mz = np.diag(sum(kron_sites(build_spin_operators(spin).sz, n)))
+    other_sector = total_mz[:, None] != total_mz[None, :]
+    assert not ham[other_sector].any()
+    assert (ham - np.diag(np.diag(ham)))[~other_sector].any()  # flip-flops present
+    # the sectors partition the basis; sector q has total M_z = N S - q
+    sectors = oracle._mz_sectors(spin.d, n)
+    np.testing.assert_array_equal(np.sort(np.concatenate(sectors)), np.arange(spin.d**n))
+    for q, states in enumerate(sectors):
+        np.testing.assert_array_equal(total_mz[states], n * spin.s - q)
+
+
 @pytest.mark.parametrize("mode", ["ising", "dipolar"])
 def test_hamiltonian_at_dimension_guard(mode):
     # 12 spin-1/2 sites: d^N equals the guard exactly
@@ -206,22 +224,24 @@ def test_open_ising_chain_matches_lattice_fid(n):
 
 
 def test_fid_beta_independent_by_construction():
-    # evolve the full initial state at two temperatures; the normalized
-    # Tr{S_x rho(t)} must equal the beta-free spectral FID. Tr S_x = 0, so
-    # the maximally mixed part is dropped before rotating; kept, its
-    # roundoff would enter the signal at ~eps/beta
+    # evolve the full initial state at two temperatures in a dense eigenbasis
+    # of the reference H; the normalized Tr{S_x rho(t)} must equal the
+    # beta-free spectral FID. Tr S_x = 0, so the maximally mixed part is
+    # dropped before rotating; kept, its roundoff would enter the signal
+    # at ~eps/beta
     grid = TimeGrid.linspace(4.0, 21)
+    table = triangle(0.3, 0.9, -0.5)
+    sx_prod = sum(kron_sites(build_spin_operators(ONE).sx, 3))
     for mode in ("dipolar", "ising"):
-        cluster = EvolvedCluster.build(ONE, triangle(0.3, 0.9, -0.5), mode)
-        # an Ising H is diagonal: its eigenbasis is the product basis
-        v = np.eye(27) if cluster.eigvecs is None else cluster.eigvecs
-        sx = v.T @ total_sx(ONE, 3) @ v
+        w, v = np.linalg.eigh(dense_hamiltonian(ONE, table, mode))
+        sx = v.T @ sx_prod @ v
+        cluster = EvolvedCluster.build(ONE, table, mode)
         for beta in (1e-3, 1e-5):
-            rho = (np.eye(27) + beta * total_sx(ONE, 3)) / 27
+            rho = (np.eye(27) + beta * sx_prod) / 27
             rho0 = v.T @ (rho - np.eye(27) / 27) @ v
             signal = np.empty(grid.times.size)
             for k, t in enumerate(grid.times):
-                phase = np.exp(-1j * cluster.eigvals * t)
+                phase = np.exp(-1j * w * t)
                 rho_t = phase[:, None] * rho0 * phase.conj()[None, :]
                 signal[k] = np.trace(sx @ rho_t).real
             np.testing.assert_allclose(signal / signal[0], cluster.fid(grid),
@@ -275,6 +295,15 @@ def test_ising_build_never_diagonalizes(monkeypatch):
         EvolvedCluster.build(ONE, table, "dipolar")
 
 
+def richardson_m2(cluster, h=1e-3):
+    """Second moment -F''(0) from the FID at t = 0, h and 2h by the
+    Richardson quadratic fit at zero."""
+    f = cluster.fid(TimeGrid(np.array([0.0, h, 2 * h])))
+    d_h = 2.0 * (f[1] - f[0]) / h**2
+    d_2h = 2.0 * (f[2] - f[0]) / (2 * h) ** 2
+    return -(4 * d_h - d_2h) / 3.0
+
+
 @pytest.mark.parametrize("spin", [HALF, ONE])
 def test_dipolar_fid_even_with_dipolar_second_moment(spin):
     # 4-site complete graph of equal couplings: every site sees sum b^2 = 3
@@ -285,17 +314,42 @@ def test_dipolar_fid_even_with_dipolar_second_moment(spin):
     f = cluster.fid(grid)
     neg = cluster.fid(TimeGrid(-grid.times[::-1]))
     np.testing.assert_allclose(f, neg[::-1], atol=1e-15)  # even in t
-    # Richardson quadratic fit at zero recovers M2 = 3 S(S+1) sum b^2
-    d_h = 2.0 * (f[1] - f[0]) / h**2
-    d_2h = 2.0 * (f[2] - f[0]) / (2 * h) ** 2
-    d2 = (4 * d_h - d_2h) / 3.0
-    m2 = 3.0 * spin.casimir * 3.0
-    assert -d2 == pytest.approx(m2, rel=1e-6)
+    # M2 = 3 S(S+1) sum b^2
+    assert richardson_m2(cluster, h) == pytest.approx(3.0 * spin.casimir * 3.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("two_s, n", [(1, 12), (2, 6), (3, 5)])
+def test_dipolar_m2_matches_oracle(two_s, n):
+    # circulant rings, where every site sees the same sum_j b_0j^2; the
+    # spin-1/2 ring builds at exactly DIM_GUARD
+    spin = SpinParams(two_s)
+    table = circulant_couplings(n, seed=n)
+    cluster = EvolvedCluster.build(spin, table, "dipolar")
+    sum_b2 = float(np.sum(table.b[0] ** 2))
+    assert richardson_m2(cluster) == pytest.approx(dipolar_m2(spin, sum_b2), rel=1e-6)
 
 
 def random_couplings(n, seed):
     b = np.triu(np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n)), 1)
     return CouplingTable(b=b + b.T)
+
+
+def random_flipflop(n, seed):
+    """Random b with an independent random a in place of the default -b/2."""
+    rng = np.random.default_rng(seed)
+    b, a = (np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1) for _ in range(2))
+    return CouplingTable(b=b + b.T, a=a + a.T)
+
+
+def circulant_couplings(n, seed):
+    """Ring couplings that depend only on the ring distance: every site is
+    equivalent, so H has translation and spin-flip degeneracies."""
+    rng = np.random.default_rng(seed)
+    per_distance = rng.uniform(0.2, 1.0, n // 2 + 1) * rng.choice([-1.0, 1.0], n // 2 + 1)
+    gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    b = per_distance[np.minimum(gap, n - gap)]
+    np.fill_diagonal(b, 0.0)
+    return CouplingTable(b=b)
 
 
 @pytest.mark.parametrize("spin, n", [(HALF, 8), (ONE, 4)], ids=["half-n8", "one-n4"])
@@ -313,6 +367,56 @@ def test_dipolar_fid_matches_trace_of_deviation(spin, n, grid):
         t = float(grid.times[k])
         direct = float(np.trace(sx @ cluster.deviation(t)).real) / norm
         assert fid[k] == pytest.approx(direct, abs=1e-10)
+
+
+SECTOR_CASES = [(1, circulant_couplings, 10), (2, circulant_couplings, 6),
+                (3, circulant_couplings, 5), (1, random_flipflop, 9),
+                (2, random_couplings, 5), (3, random_flipflop, 4)]
+
+
+@pytest.fixture(scope="module", params=SECTOR_CASES,
+                ids=lambda c: f"2s{c[0]}-{c[1].__name__}-n{c[2]}")
+def sector_case(request):
+    """A dipolar cluster, dim <= 1024, and its dense reference: one ``eigh``
+    of the whole H and S_x rotated into that eigenbasis."""
+    two_s, couplings, n = request.param
+    spin = SpinParams(two_s)
+    table = couplings(n, seed=10 * two_s + n)
+    w, v = np.linalg.eigh(build_hamiltonian(spin, table, "dipolar"))
+    return EvolvedCluster.build(spin, table, "dipolar"), w, v, v.T @ total_sx(spin, n) @ v
+
+
+@pytest.mark.parametrize("grid", [TimeGrid.linspace(20.0, 401),
+                                  TimeGrid(1.7 + 0.011 * np.arange(300))],
+                         ids=["linspace", "offset"])
+def test_sector_fid_matches_dense_eigh(sector_case, grid):
+    # reference: sum over every pair of eigenstates, sum_xy w2[x, y]
+    # cos((E_x - E_y) t) = Re p^T w2 p* with p = exp(-i E t), time by time
+    cluster, w, _, sx = sector_case
+    w2 = sx**2
+    phase = np.exp(-1j * np.multiply.outer(w, grid.times))
+    ref = np.einsum("xt,xt->t", phase, w2 @ phase.conj()).real / np.sum(w2)
+    np.testing.assert_allclose(cluster.fid(grid), ref, rtol=0, atol=1e-12)
+
+
+def test_sector_deviation_matches_dense_eigh(sector_case):
+    cluster, w, v, sx = sector_case
+    spin, n = cluster.spin, cluster.n_sites
+    dim = spin.d**n
+    # per-sector storage only: no dense eigenvector matrix or rotated S_x,
+    # which together held 2 dim^2 entries (adjacent blocks share a sector's V)
+    sector_vecs = {id(vec): vec for pair in cluster.vecs for vec in pair}
+    stored = [*sector_vecs.values(), *cluster.sx_blocks]
+    assert max(max(a.shape) for a in stored) < dim
+    assert sum(a.size for a in stored) < dim**2 / 2
+    for t in (0.37, 2.9):
+        phase = np.exp(-1j * w * t)
+        ref = v @ (phase[:, None] * sx * phase.conj()[None, :]) @ v.T
+        np.testing.assert_allclose(cluster.deviation(t), ref, rtol=0, atol=1e-12)
+        for pair in ((0, 1), (2, 0)):
+            reduced = partial_trace(ref, [spin.d] * n, keep=pair) / spin.d ** (n - 2)
+            np.testing.assert_allclose(cluster.pair_deviation(t, pair), reduced,
+                                       rtol=0, atol=1e-12)
 
 
 # -- reduction ---------------------------------------------------------------------
