@@ -27,6 +27,17 @@ _GRID_ULPS = 8
 # exponential blocks are ~4 MB each
 _LINE_BLOCK = 4096
 
+# matrices per chunk in scs_overlaps and in entropy_norm_batch for d >= 4:
+# bounds their temporaries (a few complex d x d x chunk arrays, ~1.6 MB each
+# at d = 7)
+_CHUNK = 2048
+# entropy_norm_batch's power-sum series for d >= 4 takes the rows with
+# nu = ||d M / Tr M - 1||_F <= _NU_MAX and stops at n = _SERIES_N. Every
+# |Tr Y^n| <= nu^n, so its truncation error is at most
+# nu^(N+1) / (N (N+1) (1 - nu)) = 4.1e-20 nats.
+_NU_MAX = 0.1
+_SERIES_N = 16
+
 
 def dirichlet_ratio(d, x):
     """sin(d x) / (d sin x) elementwise, with removable singularities filled.
@@ -150,9 +161,19 @@ def scs_overlaps(rho4, amps):
     """Partial inner products <v_n| rho |v_n> over the first spin.
 
     rho4 is the pair matrix reshaped (d, d, d, d); amps is (n, d). Returns
-    the stack of d x d matrices over the second spin, one per state.
+    the stack of d x d matrices over the second spin, one per state, as an
+    (n, d, d) view of a (d, d, n) array: M_ce(n) = sum_ab rho_acbe W_ab(n)
+    with W_ab(n) = conj(c_na) c_nb is the GEMM R @ W of
+    R = rho4.transpose(1, 3, 0, 2) as a d^2 x d^2 matrix, one per chunk
+    of _CHUNK states.
     """
-    return np.einsum("na,acbe,nb->nce", amps.conj(), rho4, amps, optimize=True)
+    n, d = amps.shape
+    r = rho4.transpose(1, 3, 0, 2).reshape(d * d, d * d)
+    out = np.empty((d * d, n), dtype=complex)
+    for lo in range(0, n, _CHUNK):
+        a = np.ascontiguousarray(amps[lo:lo + _CHUNK].T)
+        out[:, lo:lo + _CHUNK] = r @ (a.conj()[:, None] * a[None]).reshape(d * d, -1)
+    return out.reshape(d, d, n).transpose(2, 0, 1)
 
 
 def _abs2(z):
@@ -228,7 +249,9 @@ def _deviation_eigvals(mats, tr):
 
     d = 2: x = +-sqrt((a - e)^2 + 4|c|^2) / (a + e) for M = [[a, c], [c*, e]].
     d = 3: ``_deviation_eigvals3``. d >= 4: batched ``eigvalsh``, centred so
-    that sum x = 0 holds to the roundoff of x rather than of M.
+    that sum x = 0 holds to the roundoff of x rather than of M;
+    ``entropy_norm_batch`` needs them there only for the rows its power-sum
+    series does not take.
     """
     d = mats.shape[-1]
     if d == 2:
@@ -241,22 +264,94 @@ def _deviation_eigvals(mats, tr):
     return d * (w - w.mean(axis=1, keepdims=True)) / tr[:, None]
 
 
+def _eig_deficit(mats, tr):
+    """sum_i (1 + x_i) log1p(x_i) over the eigenvalues of ``_deviation_eigvals``.
+
+    Terms with 1 + x <= 0 count as 0 (eigenvalues clipped at zero,
+    0 log 0 = 0).
+    """
+    x = _deviation_eigvals(mats, tr)
+    terms = (1.0 + x) * np.log1p(x, where=x > -1.0, out=np.zeros_like(x))
+    return np.sum(terms, axis=1)
+
+
+def _series_deficit(mats, tr):
+    """sum_i (1 + x_i) log1p(x_i) from power sums, and the rows it cannot take.
+
+    With Y = d M / Tr M - 1, centred so that Tr Y = 0, and nu^2 = Tr Y^2,
+    the deficit is sum_{n >= 2} (-1)^n p_n / (n (n - 1)) with p_n = Tr Y^n,
+    truncated at n = _SERIES_N; rows with nu > _NU_MAX come back flagged.
+    p_2 ... p_d are Tr(Y^a Y^b) = sum Re(Y^a o conj Y^b) over the powers
+    up to Y^ceil(d/2). Newton's identities give the signed elementary
+    symmetric polynomials eps_k = (-1)^(k-1) e_k (eps_1 = p_1 = 0), and
+    p_n = sum_k eps_k p_(n-k) for n > d: no root is ever found, so
+    degenerate spectra cost nothing extra. Y is held (d, d, rows), and no
+    sum over entries reduces a lone row pairwise, so a row's value does not
+    depend on the rest of its batch.
+    """
+    d = mats.shape[-1]
+    y = np.multiply(mats.transpose(1, 2, 0), d / tr, order="C")
+    diag = y.reshape(d * d, -1)[::d + 1].real
+    diag -= sum(diag) / d  # the builtin sum adds the d rows in order
+    pows = [y]
+    row = np.empty_like(y[0])
+    for _ in range((d + 1) // 2 - 1):
+        prev, nxt = pows[-1], np.empty_like(y)
+        for i in range(d):  # Y^k is Hermitian: rows from the diagonal on
+            out, tmp = nxt[i, i:], row[i:]
+            np.multiply(prev[i, 0], y[0, i:], out=out)
+            for j in range(1, d):
+                out += np.multiply(prev[i, j], y[j, i:], out=tmp)
+            np.conjugate(nxt[i, i + 1:], out=nxt[i + 1:, i])
+        pows.append(nxt)
+    p = [None, None]
+    for n in range(2, d + 1):
+        # one real einsum over interleaved (re, im) pairs: a lone row keeps an
+        # output axis of length 2, so its entries add in the batch's order
+        ya, yb = pows[n // 2 - 1].view(float), pows[n - n // 2 - 1].view(float)
+        p.append(np.einsum("ijn,ijn->n", ya, yb).reshape(-1, 2).sum(axis=1))
+    eps = [None, None]
+    for n in range(2, _SERIES_N + 1):
+        acc = np.zeros_like(tr)
+        for k in range(2, min(d, n - 2) + 1):
+            acc += eps[k] * p[n - k]
+        if n <= d:
+            eps.append((p[n] - acc) / n)
+        else:
+            p.append(acc)
+    deficit = np.zeros_like(tr)
+    for n in range(_SERIES_N, 1, -1):
+        deficit += p[n] * ((-1) ** n / (n * (n - 1)))
+    return deficit, ~(p[2] <= _NU_MAX**2)
+
+
 def entropy_norm_batch(mats):
     """Per-matrix (trace, entropy-in-bits of the trace-normalized matrix).
 
-    With x the eigenvalues of d M / Tr M - 1 (see ``_deviation_eigvals``:
-    closed forms for d = 2 and 3, ``eigvalsh`` above), the entropy is
+    With x the eigenvalues of d M / Tr M - 1, the entropy is
     log2 d - sum_i (1 + x_i) log1p(x_i) / (d ln 2), so a state near the
-    maximally mixed one loses only the roundoff of log2 d. Terms with
-    1 + x <= 0 count as 0 (eigenvalues clipped at zero, 0 log 0 = 0).
+    maximally mixed one loses only the roundoff of log2 d. The deficit
+    sum comes from the closed-form x of ``_deviation_eigvals`` for d = 2
+    and 3. For d >= 4 it is the power-sum series of ``_series_deficit``
+    on rows within _NU_MAX of the maximally mixed state, which needs no
+    LAPACK call, and ``eigvalsh`` only on the rest (pure, rank-deficient
+    or strongly polarized states), in chunks of _CHUNK rows.
     Inputs are Hermitian and PSD up to roundoff, with positive trace.
     """
     d = mats.shape[-1]
     tr = np.einsum("ncc->n", mats).real
-    x = _deviation_eigvals(mats, tr)
-    terms = (1.0 + x) * np.log1p(x, where=x > -1.0, out=np.zeros_like(x))
+    if d < 4:
+        deficit = _eig_deficit(mats, tr)
+    else:
+        deficit = np.empty_like(tr)
+        for lo in range(0, tr.size, _CHUNK):
+            m, t = mats[lo:lo + _CHUNK], tr[lo:lo + _CHUNK]
+            part, far = _series_deficit(m, t)
+            if far.any():
+                part[far] = _eig_deficit(m[far], t[far])
+            deficit[lo:lo + _CHUNK] = part
     # d ln d as d log1p(d - 1): a pure state's one term then cancels it exactly
-    ent = (d * np.log1p(d - 1.0) - np.sum(terms, axis=1)) / (d * math.log(2.0))
+    ent = (d * np.log1p(d - 1.0) - deficit) / (d * math.log(2.0))
     return tr, ent
 
 

@@ -17,11 +17,13 @@ Phys. 2, 003, 2017). An Ising H is already diagonal in the product basis,
 where D(t)[x, y] = S_x[x, y] exp(-i (E_x - E_y) t), and no ``eigh`` runs.
 
 The coherent-state POVM integrates the entropy of one conditional d x d
-state per quadrature node (8192 at the 64 x 128 default);
-``_kernels.entropy_norm_batch`` takes their eigenvalues in closed form for
-d = 2 and 3, and from ``eigvalsh`` for d >= 4. Those closed forms are
-generic Hermitian eigenvalue formulas and share nothing with the analytic
-modules they check.
+state per quadrature node (8192 at the 64 x 128 default).
+``_kernels.scs_overlaps`` forms the states as one GEMM per chunk of nodes,
+and ``_kernels.entropy_norm_batch`` takes their entropies from closed-form
+eigenvalues for d = 2 and 3 and, for d >= 4, from a power-sum series on
+states near the maximally mixed one (``eigvalsh`` only for the rest).
+These are generic Hermitian spectral formulas and share nothing with the
+analytic modules they check.
 
 Because the evolved state is exactly (1 + beta * D(t))/Z with D(t)
 independent of beta, the FID is beta-independent and all beta scalings

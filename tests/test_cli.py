@@ -1,5 +1,6 @@
 """Config validation, run modes, CSV round trips, and exit codes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ from spinfid.cli import (
     serialize_config,
     validate_config,
 )
-from spinfid.csvio import read_csv
+from spinfid.csvio import read_csv, write_csv_atomic
 from spinfid.errors import ConfigError
 
 
@@ -121,6 +122,35 @@ def test_csv_round_trips_floats(tmp_path):
 
     ctx = PairContext(spin=SpinParams(1, 1e-3), b_ij=1 / 3)
     np.testing.assert_array_equal(data[:, 2], mutual_info_ising(ctx, data[:, 0]))
+
+
+def csv_writer_reference(path, header, rows):
+    """The writer as it was before rows became one %-format each."""
+    def fmt(value):
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return f"{float(value):.17g}"
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+
+
+def test_csv_bytes_match_csv_writer(tmp_path):
+    rows = [
+        (0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324),
+        (1, -7, 2**70, np.int64(-3), np.uint8(200), True),
+        (np.float64(1 / 3), np.float32(0.1), 1e308, -2.5e-310, 1.0, np.int32(4)),
+        [3, 2.5, np.float64("nan"), np.int16(-1), 0.1, 1e22],  # types change per column
+        np.array([1.0, 2.0, -0.0, 7.0, np.pi, -np.e]),
+    ]
+    header = ["t", 'a,b', 'q"uote', "x", "y", "z"]
+    write_csv_atomic(tmp_path / "new.csv", header, rows)
+    csv_writer_reference(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_bytes().count(b"\r\n") == len(rows) + 1
 
 
 def test_run_oracle_compare_mode(tmp_path):

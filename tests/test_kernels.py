@@ -122,6 +122,18 @@ def test_cos_sum_memory_bound():
     assert peak <= 32e6
 
 
+# -- scs_overlaps ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [2, 4, 7])
+def test_scs_overlaps_match_definition(d):
+    # M_ce(n) = sum_ab conj(c_na) rho_acbe c_nb, across a chunk boundary
+    rng = np.random.default_rng(80 + d)
+    rho4 = rng.normal(size=(d,) * 4) + 1j * rng.normal(size=(d,) * 4)
+    amps = rng.normal(size=(K._CHUNK + 3, d)) + 1j * rng.normal(size=(K._CHUNK + 3, d))
+    ref = np.einsum("na,acbe,nb->nce", amps.conj(), rho4, amps)
+    np.testing.assert_allclose(K.scs_overlaps(rho4, amps), ref, rtol=0, atol=1e-12)
+
+
 # -- entropy_norm_batch ---------------------------------------------------------------
 
 def mp_entropy(mat):
@@ -222,7 +234,58 @@ def test_entropy_nearly_pure_three_levels(pair):
     assert_matches_mp(mats, tol=5e-15)
 
 
-@pytest.mark.parametrize("two_s", [1, 2, 3])
+def near_mixed(d, nus, rng):
+    """c (1 + nu G) with G traceless Hermitian and ||G||_F = 1, so that the
+    deviation d M / Tr M - 1 has Frobenius norm nu."""
+    mats = []
+    for nu in nus:
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        g = g + g.conj().T
+        g -= np.trace(g).real / d * np.eye(d)
+        mats.append(rng.uniform(0.1, 10.0) * (np.eye(d) + nu * g / np.linalg.norm(g)))
+    return mats
+
+
+def no_eigvalsh(*args, **kwargs):
+    raise AssertionError("eigvalsh called")
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7])
+def test_entropy_series_near_mixed(d, monkeypatch):
+    # the power-sum series alone, from nu = 1e-8 up to just below its radius
+    monkeypatch.setattr(K.np.linalg, "eigvalsh", no_eigvalsh)
+    rng = np.random.default_rng(40 + d)
+    assert_matches_mp(near_mixed(d, np.repeat(np.geomspace(1e-8, 0.99 * K._NU_MAX, 9), 3), rng))
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7])
+def test_entropy_rows_beyond_series_take_eigvalsh(d, monkeypatch):
+    seen = []
+
+    def counting_eigvalsh(mats):
+        seen.append(len(mats))
+        return np.linalg.eigh(mats)[0]
+
+    monkeypatch.setattr(K.np.linalg, "eigvalsh", counting_eigvalsh)
+    rng = np.random.default_rng(60 + d)
+    above = near_mixed(d, np.geomspace(1.01 * K._NU_MAX, 0.5, 6), rng)
+    assert_matches_mp(above)
+    assert seen == [len(above)]
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7])
+def test_entropy_rows_do_not_depend_on_their_batch(d):
+    rng = np.random.default_rng(70 + d)
+    rows = (near_mixed(d, [1e-8, 1e-4, 1e-2, 0.99 * K._NU_MAX, 1.01 * K._NU_MAX, 0.5], rng)
+            + [proj(rng.normal(size=d) + 1j * rng.normal(size=d)), proj(np.eye(d)[0]),
+               with_spectrum(np.r_[np.zeros(d - 2), 1.0, 2.0], rng)])
+    single = np.array([K.entropy_norm_batch(np.array([m]))[1][0] for m in rows])
+    order = rng.integers(0, len(rows), 2 * K._CHUNK + 5)
+    _, ent = K.entropy_norm_batch(np.array(rows)[order])
+    assert np.array_equal(ent, single[order])
+
+
+@pytest.mark.parametrize("two_s", [1, 2, 3, 4, 5, 6])
 def test_povm_information_matches_eigvalsh_reference(two_s):
     spin = SpinParams(two_s=two_s, beta=1e-3)
     quad = SphereQuadrature.build()
