@@ -62,7 +62,6 @@ from .oracle import (
     classical_info_von_neumann,
     entropy_exact,
     mutual_info_numeric,
-    partial_trace,
     povm_measure_and_classical_info,
     scs_completeness_check,
 )

@@ -354,28 +354,3 @@ def entropy_norm_batch(mats):
     ent = (d * np.log1p(d - 1.0) - deficit) / (d * math.log(2.0))
     return tr, ent
 
-
-def vn_info_grid(rho4, dirs, s2_bits):
-    """Post-measurement mutual information for a batch of spin-1/2 axes.
-
-    rho4 is a two-qubit state reshaped (2, 2, 2, 2); dirs is (n, 3) unit
-    vectors; s2_bits is the (measurement-invariant) entropy of the second
-    marginal. Returns I(Pi(rho)) per direction.
-    """
-    n = dirs.shape[0]
-    sig = np.zeros((n, 2, 2), dtype=complex)
-    sig[:, 0, 0] = dirs[:, 2]
-    sig[:, 1, 1] = -dirs[:, 2]
-    sig[:, 0, 1] = dirs[:, 0] - 1j * dirs[:, 1]
-    sig[:, 1, 0] = dirs[:, 0] + 1j * dirs[:, 1]
-    p_up = 0.5 * (np.eye(2) + sig)
-    p_dn = 0.5 * (np.eye(2) - sig)
-    rho = rho4.reshape(4, 4)
-    eye2 = np.eye(2)
-    a_up = np.einsum("nab,ce->nacbe", p_up, eye2).reshape(n, 4, 4)
-    a_dn = np.einsum("nab,ce->nacbe", p_dn, eye2).reshape(n, 4, 4)
-    meas = a_up @ rho @ a_up + a_dn @ rho @ a_dn
-    _, s12 = entropy_norm_batch(meas)
-    m1 = np.einsum("nacbc->nab", meas.reshape(n, 2, 2, 2, 2))
-    _, s1 = entropy_norm_batch(m1)
-    return s1 + s2_bits - s12

@@ -303,7 +303,7 @@ def _run_oracle_compare(cfg: RunConfig, out_dir: Path):
     ctx = ising.PairContext.from_table(spin, table, *cfg.pair)
     i_analytic = ising.mutual_info_ising(ctx, grid.times)
     j_analytic, _ = ising.povm_split(ctx, grid.times)
-    quad = oracle.SphereQuadrature.build(*cfg.quadrature)
+    quad = oracle.SphereQuadrature(*cfg.quadrature)
 
     i_oracle = np.empty(len(grid))
     j_oracle = np.empty(len(grid))
@@ -396,7 +396,7 @@ def _povm_point(two_s: int, beta: float, b: float, quad) -> tuple[float, float]:
 
 
 def _run_povm_validate(cfg: RunConfig, out_dir: Path):
-    quad = oracle.SphereQuadrature.build(*cfg.quadrature)
+    quad = oracle.SphereQuadrature(*cfg.quadrature)
     b = float(cfg.table.b[cfg.pair])
     workers = _thread_count()
     if workers > 1:

@@ -51,11 +51,3 @@ def write_csv_atomic(path, header: list[str], rows) -> Path:
         raise
     return path
 
-
-def read_csv(path) -> tuple[list[str], np.ndarray]:
-    """Read back a numeric CSV as (header, float array of shape (rows, cols))."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        data = np.array([[float(v) for v in row] for row in reader])
-    return header, data

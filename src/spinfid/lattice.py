@@ -135,18 +135,27 @@ def equivalent_sites_check(table: CouplingTable, tol: float = _SYM_TOL) -> bool:
     return bool(np.max(np.abs(rows - rows[0])) <= tol)
 
 
+def _reject_extra_keys(cfg: dict, main: str, optional: tuple[str, ...]) -> None:
+    extra = sorted(set(cfg) - {main, *optional})
+    if extra:
+        raise InvalidSpecError(f"{', '.join(map(repr, extra))} not allowed with {main!r}")
+
+
 def lattice_from_config(cfg: dict) -> CouplingTable:
     """Build a CouplingTable from config keys.
 
-    Accepts either a prebuilt ``b_matrix`` or ``sites`` (list of 3-vectors)
-    with optional ``field_direction`` and ``coupling_scale``.
+    Accepts either a prebuilt ``b_matrix`` alone or ``sites`` (list of
+    3-vectors) with optional ``field_direction`` and ``coupling_scale``;
+    any other key is rejected.
     """
     if "b_matrix" in cfg:
         if "sites" in cfg:
             raise InvalidSpecError("give either 'sites' or 'b_matrix', not both")
+        _reject_extra_keys(cfg, "b_matrix", ())
         return CouplingTable(b=np.asarray(cfg["b_matrix"], dtype=float))
     if "sites" not in cfg:
         raise InvalidSpecError("lattice config needs 'sites' or 'b_matrix'")
+    _reject_extra_keys(cfg, "sites", ("field_direction", "coupling_scale"))
     spec = LatticeSpec(
         site_positions=np.asarray(cfg["sites"], dtype=float),
         field_direction=np.asarray(cfg.get("field_direction", [0.0, 0.0, 1.0]), dtype=float),

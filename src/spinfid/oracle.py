@@ -6,8 +6,11 @@ at all sampled times), reduces to pairs, and measures entropies,
 orthogonal-measurement and coherent-state-POVM classical information.
 Each quantity has one path: the oracle evolves the deviation S_x and never
 forms rho(0), the pair mutual information is the exact entropy sum of
-``mutual_info_numeric``, and orthogonal measurements run only through
-``_kernels.vn_info_grid``, in the axis scan and in its compass search.
+``mutual_info_numeric``, and both measurements on the first spin are
+rank-1 POVMs scored by one formula, J = S(rho2) - sum_k p_k S(rho2 | k)
+(Henderson & Vedral, J. Phys. A 34, 6899 (2001)). The orthogonal
+measurement along an axis is the two-outcome POVM of the spin-1/2
+coherent states at the axis and at its antipode.
 
 The secular H conserves total M_z, so the oracle works in total-M_z
 sectors: ``eigh`` runs on each diagonal block of a dipolar H, and S_x,
@@ -17,8 +20,9 @@ Phys. 2, 003, 2017). An Ising H is already diagonal in the product basis,
 where D(t)[x, y] = S_x[x, y] exp(-i (E_x - E_y) t), and no ``eigh`` runs.
 
 The coherent-state POVM integrates the entropy of one conditional d x d
-state per quadrature node (8192 at the 64 x 128 default).
-``_kernels.scs_overlaps`` forms the states as one GEMM per chunk of nodes,
+state per quadrature node (8192 at the 64 x 128 default); the orthogonal
+measurement takes two per axis. ``_kernels.scs_overlaps`` forms the
+states as one GEMM per chunk of nodes,
 and ``_kernels.entropy_norm_batch`` takes their entropies from closed-form
 eigenvalues for d = 2 and 3 and, for d >= 4, from a power-sum series on
 states near the maximally mixed one (``eigvalsh`` only for the rest).
@@ -57,10 +61,17 @@ HAMILTONIAN_MODES = ("ising", "dipolar")
 _HERM_TOL = 1e-12
 _EIG_FLOOR = -1e-8
 
-# axis search: the (theta, phi) step offsets of the eight compass
-# neighbours, and the step (rad) at which the search stops
+# axis search: the (theta, phi) orders of the coarse scan, the step
+# offsets of the eight compass neighbours, and the step (rad) at which the
+# search stops
+_AXIS_SCAN = (32, 64)
 _COMPASS = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], dtype=float)
 _AXIS_STEP = 1e-9
+_HALF = SpinParams(1)
+
+# largest max-norm deviation of the coherent-state resolution of identity
+# that the POVM accepts from its quadrature
+_COMPLETENESS_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,17 +360,10 @@ def _beta_guard(spin: SpinParams, n_sites: int, beta: float) -> None:
             f"beta*S*N = {beta * spin.s * n_sites:.3g} >= 1 would break positivity")
 
 
-def partial_trace(mat: np.ndarray, dims: list[int], keep: tuple[int, ...]) -> np.ndarray:
-    """Trace out all subsystems not in ``keep`` (order of ``keep`` kept)."""
-    n = len(dims)
-    keep = tuple(keep)
-    traced = [k for k in range(n) if k not in keep]
-    tensor = mat.reshape(dims + dims)
-    perm = list(keep) + traced + [k + n for k in keep] + [k + n for k in traced]
-    dk = int(np.prod([dims[k] for k in keep]))
-    dt = int(np.prod([dims[k] for k in traced])) if traced else 1
-    tensor = tensor.transpose(perm).reshape(dk, dt, dk, dt)
-    return np.trace(tensor, axis1=1, axis2=3)
+def _marginals(mat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two one-site marginals of a d^2 x d^2 pair matrix."""
+    pair = mat.reshape(d, d, d, d)
+    return np.trace(pair, axis1=1, axis2=3), np.trace(pair, axis1=0, axis2=2)
 
 
 def entropy_exact(rho: DensityMatrix) -> float:
@@ -380,8 +384,7 @@ def mutual_info_numeric(rho12: DensityMatrix) -> float:
     d = math.isqrt(mat.shape[0])
     if d * d != mat.shape[0]:
         raise InvalidSpecError("pair matrix dimension is not a perfect square")
-    rho1 = partial_trace(mat, [d, d], keep=(0,))
-    rho2 = partial_trace(mat, [d, d], keep=(1,))
+    rho1, rho2 = _marginals(mat, d)
     return (
         entropy_exact(DensityMatrix(entries=rho1))
         + entropy_exact(DensityMatrix(entries=rho2))
@@ -391,45 +394,58 @@ def mutual_info_numeric(rho12: DensityMatrix) -> float:
 
 # -- orthogonal (von Neumann) measurement on spin 1/2 --------------------------
 
-def _axes(theta, phi) -> np.ndarray:
-    """Unit vectors (n, 3) at polar angles theta and azimuths phi."""
-    return np.column_stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
-                            np.cos(theta)])
+def _axis_info(rho4: np.ndarray, s2: float, theta, phi) -> np.ndarray:
+    """Information J(n) gained on the second spin by measuring the first
+    along each axis n at polar angles theta and azimuths phi.
+
+    The measurement is the two-outcome POVM of the spin-1/2 coherent states
+    at n and at its antipode (pi - theta, phi + pi), so J(n) = S(rho2) -
+    sum_(+-) p_(+-) S(rho2 | +-n). An outcome of probability zero (theta = 0
+    on a pure first marginal) adds nothing.
+    """
+    amps = scs_amplitudes(_HALF, np.concatenate([theta, np.pi - theta]),
+                          np.concatenate([phi, phi + np.pi]))
+    mats = K.scs_overlaps(rho4, amps)
+    live = np.einsum("ncc->n", mats).real > 0.0
+    terms = np.zeros(live.size)
+    terms[live] = np.prod(K.entropy_norm_batch(mats[live]), axis=0)
+    return s2 - terms.reshape(2, -1).sum(axis=0)
 
 
-def classical_info_von_neumann(rho12: DensityMatrix, n_theta: int = 32,
-                               n_phi: int = 64) -> tuple[float, np.ndarray]:
+def classical_info_von_neumann(rho12: DensityMatrix) -> tuple[float, np.ndarray]:
     """Maximize post-measurement mutual information over the unit sphere.
 
-    A coarse (n_theta x n_phi) scan, then a compass search on (theta, phi):
-    it moves to the best of the eight neighbours one step away while one
-    beats the current axis, else halves the steps, down to _AXIS_STEP rad.
-    Every axis goes through ``_kernels.vn_info_grid``. Returns (classical
-    info, best direction).
+    A coarse _AXIS_SCAN (theta x phi) scan, then a compass search on
+    (theta, phi): it moves to the best of the eight neighbours one step
+    away while one beats the current axis, else halves the steps, down to
+    _AXIS_STEP rad. Every axis is scored by ``_axis_info``. Returns
+    (classical info, best direction).
     """
     if rho12.dim != 4:
         raise UnsupportedSpinError("direction search is implemented for a spin-1/2 pair (dim 4)")
     rho4 = rho12.entries.reshape(2, 2, 2, 2)
-    rho2 = partial_trace(rho12.entries, [2, 2], keep=(1,))
-    s2 = entropy_exact(DensityMatrix(entries=rho2))
+    s2 = entropy_exact(DensityMatrix(entries=_marginals(rho12.entries, 2)[1]))
 
+    n_theta, n_phi = _AXIS_SCAN
     thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
     th, ph = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
-    info = K.vn_info_grid(rho4, _axes(th, ph), s2)
+    info = _axis_info(rho4, s2, th, ph)
     best = int(np.argmax(info))
     angles, value = np.array([th[best], ph[best]]), info[best]
 
     step = np.array([np.pi / n_theta, 2.0 * np.pi / n_phi])
     while step.max() > _AXIS_STEP:
         cand = angles + _COMPASS * step
-        vals = K.vn_info_grid(rho4, _axes(cand[:, 0], cand[:, 1]), s2)
+        vals = _axis_info(rho4, s2, cand[:, 0], cand[:, 1])
         k = int(np.argmax(vals))
         if vals[k] > value:
             angles, value = cand[k], vals[k]
         else:
             step /= 2.0
-    return float(value), _axes(*angles)[0]
+    theta, phi = angles
+    return float(value), np.array([np.sin(theta) * np.cos(phi),
+                                   np.sin(theta) * np.sin(phi), np.cos(theta)])
 
 
 # -- spin coherent states and the POVM ----------------------------------------
@@ -493,53 +509,33 @@ class SphereQuadrature:
         if self.n_theta < 1 or self.n_phi < 1:
             raise InvalidSpecError("quadrature orders must be positive")
 
-    @classmethod
-    def build(cls, n_theta: int = 64, n_phi: int = 128) -> "SphereQuadrature":
-        return cls(n_theta=n_theta, n_phi=n_phi)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return _sphere_nodes(self.n_theta, self.n_phi)[2]
-
-    def scs_basis(self, spin: SpinParams) -> tuple[np.ndarray, float]:
-        """Coherent-state amplitudes and completeness deviation."""
-        return _scs_basis(self.n_theta, self.n_phi, spin.two_s)
-
 
 def scs_completeness_check(spin: SpinParams, quadrature: SphereQuadrature) -> float:
     """Max-norm deviation of the quadrature resolution of identity."""
-    return quadrature.scs_basis(spin)[1]
-
-
-def povm_conditional_states(rho12: DensityMatrix, spin: SpinParams,
-                            quadrature: SphereQuadrature):
-    """Angle density p(Omega) and conditional second-spin states.
-
-    p(Omega) = (d/4pi) <Omega|rho12|Omega> traced over spin 2; the
-    conditional matrices are the corresponding normalized d x d states.
-    """
-    d = spin.d
-    amps, _ = quadrature.scs_basis(spin)
-    mats = K.scs_overlaps(rho12.entries.reshape(d, d, d, d), amps)
-    traces, cond_entropy = K.entropy_norm_batch(mats)
-    density = d / (4.0 * np.pi) * traces
-    return density, traces, cond_entropy, mats
+    return _scs_basis(quadrature.n_theta, quadrature.n_phi, spin.two_s)[1]
 
 
 def povm_measure_and_classical_info(rho12: DensityMatrix, spin: SpinParams,
-                                    quadrature: SphereQuadrature,
-                                    completeness_tol: float = 1e-10) -> float:
+                                    quadrature: SphereQuadrature) -> float:
     """Classical information extracted by the coherent-state POVM (bits).
 
-    Computed as S(rho2) - integral of p(Omega) S(rho2|Omega): the angle
-    entropy cancels identically between the joint and marginal terms, so
-    the quadrature reference constants drop out exactly.
+    Computed as S(rho2) - integral of p(Omega) S(rho2|Omega), with the
+    angle density p(Omega) = (d/4pi) Tr <Omega|rho12|Omega> and the
+    normalized conditional d x d states of spin 2: the angle entropy
+    cancels identically between the joint and marginal terms, so the
+    quadrature reference constants drop out exactly.
     """
-    dev = scs_completeness_check(spin, quadrature)
-    if dev > completeness_tol:
+    d = spin.d
+    if rho12.dim != d * d:
+        raise InvalidSpecError(f"pair matrix dimension {rho12.dim} does not fit spin "
+                               f"{spin.s:g} (needs {d * d})")
+    amps, dev = _scs_basis(quadrature.n_theta, quadrature.n_phi, spin.two_s)
+    if dev > _COMPLETENESS_TOL:
         raise QuadratureTooCoarseError(
-            f"completeness deviation {dev:.3e} exceeds {completeness_tol:.1e}")
-    density, _, cond_entropy, _ = povm_conditional_states(rho12, spin, quadrature)
-    rho2 = partial_trace(rho12.entries, [spin.d, spin.d], keep=(1,))
-    s2 = entropy_exact(DensityMatrix(entries=rho2))
-    return float(s2 - np.sum(quadrature.weights * density * cond_entropy))
+            f"completeness deviation {dev:.3e} exceeds {_COMPLETENESS_TOL:.1e}")
+    mats = K.scs_overlaps(rho12.entries.reshape(d, d, d, d), amps)
+    traces, cond_entropy = K.entropy_norm_batch(mats)
+    density = d / (4.0 * np.pi) * traces
+    s2 = entropy_exact(DensityMatrix(entries=_marginals(rho12.entries, d)[1]))
+    weights = _sphere_nodes(quadrature.n_theta, quadrature.n_phi)[2]
+    return float(s2 - np.sum(weights * density * cond_entropy))

@@ -60,7 +60,7 @@ def pair_plus_neighbor():
 
 @pytest.fixture(scope="module")
 def quad():
-    return SphereQuadrature.build(64, 128)
+    return SphereQuadrature(64, 128)
 
 
 def test_criterion_1_oracle_fid_equivalence():

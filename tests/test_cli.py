@@ -19,8 +19,17 @@ from spinfid.cli import (
     serialize_config,
     validate_config,
 )
-from spinfid.csvio import read_csv, write_csv_atomic
+from spinfid.csvio import write_csv_atomic
 from spinfid.errors import ConfigError
+
+
+def read_csv(path):
+    """Read back a numeric CSV as (header, float array of shape (rows, cols))."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        data = np.array([[float(v) for v in row] for row in reader])
+    return header, data
 
 
 def minimal(mode="ising_analytic", **extra):
@@ -235,6 +244,19 @@ def test_main_config_error_exit_2(tmp_path, capsys):
     path = write_cfg(tmp_path, minimal(mode="nope"))
     assert main(["run", path]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lattice", [
+    {"b_matrix": [[0, 1], [1, 0]], "coupling_scale": 5, "field_direction": [1, 0, 0]},
+    {"sites": [[0, 0, 0], [0, 0, 1]], "spacing": 2.0},
+])
+def test_main_lattice_extra_keys_exit_2(tmp_path, capsys, lattice):
+    path = write_cfg(tmp_path, minimal(lattice=lattice))
+    assert main(["run", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "key 'lattice':" in err
+    assert "not allowed with" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_main_guard_error_exit_3(tmp_path, capsys):

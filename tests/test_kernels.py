@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spinfid import _kernels as K
+from spinfid import oracle
 from spinfid.core import SpinParams, TimeGrid
 from spinfid.lattice import CouplingTable
 from spinfid.oracle import (
@@ -15,8 +16,6 @@ from spinfid.oracle import (
     EvolvedCluster,
     SphereQuadrature,
     entropy_exact,
-    partial_trace,
-    povm_conditional_states,
     povm_measure_and_classical_info,
 )
 
@@ -288,12 +287,17 @@ def test_entropy_rows_do_not_depend_on_their_batch(d):
 @pytest.mark.parametrize("two_s", [1, 2, 3, 4, 5, 6])
 def test_povm_information_matches_eigvalsh_reference(two_s):
     spin = SpinParams(two_s=two_s, beta=1e-3)
-    quad = SphereQuadrature.build()
+    d = spin.d
+    quad = SphereQuadrature()
     table = CouplingTable(b=np.array([[0.0, 1.0], [1.0, 0.0]]))
     rho = EvolvedCluster.build(spin, table, "ising").pair_density(0.7, (0, 1), spin.beta)
-    density, traces, _, mats = povm_conditional_states(rho, spin, quad)
+    theta, phi, weights = oracle._sphere_nodes(quad.n_theta, quad.n_phi)
+    amps = oracle.scs_amplitudes(spin, theta, phi)
+    mats = K.scs_overlaps(rho.entries.reshape(d, d, d, d), amps)
+    traces = np.einsum("ncc->n", mats).real
     p = np.clip(np.linalg.eigvalsh(mats), 0.0, None) / traces[:, None]
     s_cond = -np.sum(np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0), axis=1)
-    rho2 = partial_trace(rho.entries, [spin.d, spin.d], keep=(1,))
-    j_ref = entropy_exact(DensityMatrix(entries=rho2)) - np.sum(quad.weights * density * s_cond)
+    rho2 = oracle._marginals(rho.entries, d)[1]
+    density = d / (4.0 * np.pi) * traces
+    j_ref = entropy_exact(DensityMatrix(entries=rho2)) - np.sum(weights * density * s_cond)
     assert abs(povm_measure_and_classical_info(rho, spin, quad) - j_ref) <= 1e-14

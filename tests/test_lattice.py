@@ -143,3 +143,10 @@ def test_lattice_from_config():
         lattice_from_config({})
     with pytest.raises(InvalidSpecError):
         lattice_from_config({"sites": [[0, 0, 0], [0, 0, 1]], "b_matrix": [[0, 1], [1, 0]]})
+    # keys a b_matrix cannot use are not dropped silently
+    with pytest.raises(InvalidSpecError, match="'coupling_scale', 'field_direction'"):
+        lattice_from_config({"b_matrix": [[0, 1], [1, 0]], "coupling_scale": 5,
+                             "field_direction": [1, 0, 0]})
+    with pytest.raises(InvalidSpecError, match="'spacing' not allowed with 'sites'"):
+        lattice_from_config({"sites": [[0, 0, 0], [0, 0, 1]], "coupling_scale": 2.0,
+                             "spacing": 2.0})

@@ -15,6 +15,7 @@ from spinfid.errors import (
     BetaTooLargeError,
     ClusterTooLargeError,
     InvalidPairError,
+    InvalidSpecError,
     NonPhysicalStateError,
     QuadratureTooCoarseError,
 )
@@ -38,7 +39,6 @@ from spinfid.oracle import (
     classical_info_von_neumann,
     entropy_exact,
     mutual_info_numeric,
-    partial_trace,
     povm_measure_and_classical_info,
     scs_amplitudes,
     scs_completeness_check,
@@ -58,7 +58,7 @@ def triangle(b12=1.0, b13=1.0, b23=1.0):
 
 @pytest.fixture(scope="module")
 def quad():
-    return SphereQuadrature.build()
+    return SphereQuadrature()
 
 
 def kron_sites(op, n):
@@ -82,13 +82,37 @@ def dense_hamiltonian(spin, table, mode):
     return ham
 
 
+def partial_trace(mat, dims, keep):
+    """Reference n-partite partial trace: trace out every subsystem not in
+    ``keep``, keeping the order of ``keep``."""
+    n = len(dims)
+    keep = tuple(keep)
+    traced = [k for k in range(n) if k not in keep]
+    tensor = mat.reshape(dims + dims)
+    perm = list(keep) + traced + [k + n for k in keep] + [k + n for k in traced]
+    dk = int(np.prod([dims[k] for k in keep]))
+    dt = int(np.prod([dims[k] for k in traced])) if traced else 1
+    tensor = tensor.transpose(perm).reshape(dk, dt, dk, dt)
+    return np.trace(tensor, axis1=1, axis2=3)
+
+
+def second_marginal_entropy(rho12):
+    d = math.isqrt(rho12.dim)
+    return entropy_exact(DensityMatrix(entries=oracle._marginals(rho12.entries, d)[1]))
+
+
+def angles_of(n):
+    """Polar angle and azimuth of a unit vector."""
+    return np.array([math.acos(n[2])]), np.array([math.atan2(n[1], n[0])])
+
+
 def trace_form_info(rho12):
     """Reference second-order (high-temperature) pair mutual information,
     (d^2 Tr rho12^2 + 1 - d Tr rho1^2 - d Tr rho2^2)/(2 ln 2) in bits."""
     mat = rho12.entries
     d = math.isqrt(mat.shape[0])
-    pur12, pur1, pur2 = (float(np.sum(np.abs(m) ** 2)) for m in (
-        mat, partial_trace(mat, [d, d], keep=(0,)), partial_trace(mat, [d, d], keep=(1,))))
+    pur12, pur1, pur2 = (float(np.sum(np.abs(m) ** 2))
+                         for m in (mat, *oracle._marginals(mat, d)))
     return (d * d * pur12 + 1.0 - d * pur1 - d * pur2) / (2.0 * math.log(2.0))
 
 
@@ -423,13 +447,18 @@ def test_sector_deviation_matches_dense_eigh(sector_case):
 
 def test_partial_trace_product_state():
     rng = np.random.default_rng(3)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     rho_a = a @ a.conj().T
     rho_a /= np.trace(rho_a)
     rho_b = np.diag([0.7, 0.2, 0.1]).astype(complex)
-    joint = np.kron(rho_a, rho_b)
-    np.testing.assert_allclose(partial_trace(joint, [2, 3], keep=(0,)), rho_a, atol=1e-14)
-    np.testing.assert_allclose(partial_trace(joint, [2, 3], keep=(1,)), rho_b, atol=1e-14)
+    one, two = oracle._marginals(np.kron(rho_a, rho_b), 3)
+    np.testing.assert_allclose(one, rho_a, atol=1e-14)
+    np.testing.assert_allclose(two, rho_b, atol=1e-14)
+    # the pair marginals add the terms of the n-partite trace in its order
+    for d in (2, 3, 4):
+        mat = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        for k, marginal in enumerate(oracle._marginals(mat, d)):
+            assert np.array_equal(marginal, partial_trace(mat, [d, d], keep=(k,)))
 
 
 @pytest.mark.parametrize("pair", [(1, 1), (-1, 0), (0, 3)])
@@ -563,7 +592,7 @@ def test_initial_density_properties():
 # -- orthogonal measurement -----------------------------------------------------------
 
 @pytest.mark.parametrize("state", ["ising", "dipolar", "random"])
-def test_vn_info_grid_matches_dense_projection(state):
+def test_axis_info_matches_dense_projection(state):
     # reference: project the first spin onto +-n with Kronecker products,
     # (P+ x 1) rho (P+ x 1) + (P- x 1) rho (P- x 1), and take the exact
     # mutual information of the measured state
@@ -577,11 +606,12 @@ def test_vn_info_grid_matches_dense_projection(state):
         # unequal environments, so measuring the wrong member would show
         cluster = EvolvedCluster.build(HALF, triangle(1.0, 0.3, 0.8), state)
         rho = cluster.pair_density(0.7, (0, 1), 1e-2)
-    s2 = entropy_exact(DensityMatrix(entries=partial_trace(rho.entries, [2, 2], keep=(1,))))
+    s2 = second_marginal_entropy(rho)
     pauli = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
     dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
                      [0.3, -0.5, math.sqrt(0.66)], [-0.6, 0.0, 0.8]])
-    info = K.vn_info_grid(rho.entries.reshape(2, 2, 2, 2), dirs, s2)
+    theta, phi = np.concatenate([angles_of(n) for n in dirs], axis=1)
+    info = oracle._axis_info(rho.entries.reshape(2, 2, 2, 2), s2, theta, phi)
     for n, got in zip(dirs, info):
         sigma_n = sum(c * p for c, p in zip(n, pauli))
         proj = [np.kron((np.eye(2) + sign * sigma_n) / 2, np.eye(2)) for sign in (1, -1)]
@@ -599,24 +629,39 @@ def test_classical_info_maximization():
     assert info - c >= 0.0  # discord nonnegative here
     assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-12)
     flat = DensityMatrix(entries=np.kron(np.diag([0.6, 0.4]), np.diag([0.3, 0.7])).astype(complex))
-    c0, _ = classical_info_von_neumann(flat, n_theta=8, n_phi=16)
+    c0, _ = classical_info_von_neumann(flat)
     assert abs(c0) < 1e-12
 
 
-def nelder_mead_classical_info(rho12, n_theta=32, n_phi=64):
+def test_axis_info_near_zero_outcome():
+    # a pure first marginal: at theta = 0 one outcome has probability
+    # cos(pi/2)^2 ~ 4e-33 (|up>) or exactly 0 (|down>)
+    for first, p_tiny in ((np.diag([1.0, 0.0]), 1e-32), (np.diag([0.0, 1.0]), 0.0)):
+        rho = DensityMatrix(entries=np.kron(first, np.diag([0.3, 0.7])).astype(complex))
+        c, direction = classical_info_von_neumann(rho)
+        assert abs(c) < 1e-12
+        assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-15)
+        rho4 = rho.entries.reshape(2, 2, 2, 2)
+        amps = oracle.scs_amplitudes(HALF, np.array([0.0, np.pi]), np.array([0.0, np.pi]))
+        assert np.min(np.einsum("ncc->n", K.scs_overlaps(rho4, amps)).real) <= p_tiny
+        info = oracle._axis_info(rho4, second_marginal_entropy(rho), np.array([0.0]),
+                                 np.array([0.0]))
+        assert np.isfinite(info[0]) and abs(info[0]) < 1e-12
+
+
+def nelder_mead_classical_info(rho12):
     """Reference: the same coarse scan refined by scipy's Nelder-Mead."""
     rho4 = rho12.entries.reshape(2, 2, 2, 2)
-    s2 = entropy_exact(DensityMatrix(entries=partial_trace(rho12.entries, [2, 2], keep=(1,))))
+    s2 = second_marginal_entropy(rho12)
+    n_theta, n_phi = oracle._AXIS_SCAN
     thetas = (np.arange(n_theta) + 0.5) * np.pi / n_theta
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
     th, ph = (a.ravel() for a in np.meshgrid(thetas, phis, indexing="ij"))
-    dirs = np.column_stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
-    best = int(np.argmax(K.vn_info_grid(rho4, dirs, s2)))
+    best = int(np.argmax(oracle._axis_info(rho4, s2, th, ph)))
 
     def objective(angles):
         t, p = angles
-        nv = np.array([[math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)]])
-        return -float(K.vn_info_grid(rho4, nv, s2)[0])
+        return -float(oracle._axis_info(rho4, s2, np.array([t]), np.array([p]))[0])
 
     res = minimize(objective, (th[best], ph[best]), method="Nelder-Mead",
                    options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 400})
@@ -649,8 +694,8 @@ def test_axis_search_matches_nelder_mead():
         assert c >= nelder_mead_classical_info(rho) - 1e-15
         assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-15)
         # the returned axis is the one whose information is reported
-        s2 = entropy_exact(DensityMatrix(entries=partial_trace(rho.entries, [2, 2], keep=(1,))))
-        info = K.vn_info_grid(rho.entries.reshape(2, 2, 2, 2), direction[None, :], s2)[0]
+        info = oracle._axis_info(rho.entries.reshape(2, 2, 2, 2), second_marginal_entropy(rho),
+                                 *angles_of(direction))[0]
         assert info == pytest.approx(c, rel=0, abs=1e-15)
 
 
@@ -684,7 +729,7 @@ def test_completeness_levels(quad):
 
 def test_completeness_improves_with_order():
     spin = SpinParams(4)  # projector degree 2S = 4 needs 3 Gauss nodes
-    devs = [scs_completeness_check(spin, SphereQuadrature.build(n, 16))
+    devs = [scs_completeness_check(spin, SphereQuadrature(n, 16))
             for n in (1, 2, 3)]
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] < 1e-12
@@ -695,9 +740,15 @@ def test_povm_product_state_no_information(quad):
     assert abs(povm_measure_and_classical_info(rho, ONE, quad)) < 1e-12
 
 
+def test_povm_rejects_state_of_another_spin(quad):
+    rho = DensityMatrix(entries=np.eye(9) / 9)
+    with pytest.raises(InvalidSpecError, match="does not fit spin"):
+        povm_measure_and_classical_info(rho, HALF, quad)
+
+
 def test_povm_quadrature_guard():
     # two Gauss nodes are exact only through degree 3 < 2S for S = 2
-    coarse = SphereQuadrature.build(2, 16)
+    coarse = SphereQuadrature(2, 16)
     spin = SpinParams(4, beta=1e-3)
     rho = DensityMatrix(entries=np.eye(25) / 25)
     with pytest.raises(QuadratureTooCoarseError):
