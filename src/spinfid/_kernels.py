@@ -20,12 +20,37 @@ import numpy as np
 # recurrence stays at ~d^3 eps for any window, so the window is kept wide.
 _SIN_EPS = 1e-3
 
-# cos_sum's uniform-grid path: np.linspace drifts ~1 ulp of max|t| from
+# cos_sum's uniform-grid paths: np.linspace drifts ~1 ulp of max|t| from
 # t_0 + k dt (its last point is set to t_max exactly), so allow a few
 _GRID_ULPS = 8
-# lines per GEMM block: at n = 4001 the complex (64 x block) phase and
-# exponential blocks are ~4 MB each
+# lines per block on both uniform-grid paths: the GEMM's complex
+# (sqrt n x block) phase tables, and the NUFFT's (2 _NUFFT_TAPS x block)
+# spreading weights and indices, stay below ~1 MB each
 _LINE_BLOCK = 4096
+# uniform grids of at least this many points take the NUFFT, shorter ones
+# the GEMM. The GEMM costs ~sqrt(n) complex multiply-adds per line and time
+# block, the NUFFT a fixed 2 _NUFFT_TAPS spread per line plus one FFT of
+# ~3n points: on 2 cores it wins from ~40 points at 2e3-2e5 lines, and
+# every grid below 128 points (the 41- and 61-point oracle grids among
+# them) keeps the GEMM's bits.
+_NUFFT_POINTS = 128
+# Gaussian gridding (Dutt & Rokhlin 1993; Greengard & Lee 2004) onto
+# m >= _NUFFT_OVERSAMPLE n points, the smallest 5-smooth such m, spacing
+# h = 2 pi / m, with the modes |k| <= K = floor(n/2). The kernel is
+# exp(-a s^2) in grid units s, spread _NUFFT_TAPS points to each side, and
+# a = (pi / T) sqrt(1 - 2K/m) with T = _NUFFT_TAPS balances its two
+# errors, relative to sum |w|:
+#   - truncation: the dropped taps weigh <= 2 exp(-a T^2), which the
+#     deconvolution sqrt(a/pi) exp(tau K^2) <= 0.27 * 4.5 amplifies, with
+#     tau = pi^2 / (m^2 a);
+#   - aliasing of the mode k - m onto k: exp(-tau m (m - 2K)) = exp(-a T^2).
+# With m >= 6K, a T^2 >= pi T sqrt(2/3) = 35.9 at T = 14, so both together
+# stay below 3.5 exp(-35.9) = 9e-16. The spread and the FFT add roundoff of
+# a few eps log2(m) (measured ~1e-16): the bound is 1e-14 sum |w|, beside
+# the eps |omega| max|t| phase roundoff that every path shares. At 12 taps
+# the same bound is 1.5e-13.
+_NUFFT_TAPS = 14
+_NUFFT_OVERSAMPLE = 3
 
 # matrices per chunk in scs_overlaps and in entropy_norm_batch for d >= 4:
 # bounds their temporaries (a few complex d x d x chunk arrays, ~1.6 MB each
@@ -113,23 +138,96 @@ def _uniform_step(times):
     return step
 
 
+def _fft_size(n):
+    """Smallest 2^i 3^j 5^k >= n."""
+    m = n
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
+def _nufft_cos_sum(weights, freqs, times, step):
+    """cos_sum on a uniform grid by a type-1 NUFFT; see ``cos_sum``."""
+    n, taps = times.size, _NUFFT_TAPS
+    half = n // 2
+    m = _fft_size(_NUFFT_OVERSAMPLE * n)
+    a = math.pi / taps * math.sqrt(1.0 - 2.0 * half / m)
+    offsets = np.arange(1 - taps, taps + 1)
+    e3 = np.exp(-a * offsets[:, None] ** 2.0)
+    # grid points l0 + offset are stored at l0 + offset + shift >= 0 and
+    # folded back modulo m once, after the last block
+    shift = m // 2 + taps
+    size = m + 2 * taps + 1
+    spread = (np.zeros(size), np.zeros(size))
+    g = np.empty((2 * taps, min(_LINE_BLOCK, freqs.size)))
+    for lo in range(0, freqs.size, _LINE_BLOCK):
+        f = freqs[lo:lo + _LINE_BLOCK]
+        # omega dt in grid units, reduced to [-m/2, m/2] by an exact
+        # integer shift (a no-op when |omega dt| <= pi)
+        u = f * (step * (m / (2.0 * math.pi)))
+        u -= m * np.round(u / m)
+        l0 = np.floor(u)
+        d = u - l0
+        # exp(-a (j - d)^2) = exp(-a d^2) exp(2 a d)^j exp(-a j^2), the
+        # powers taken outward from j = 0 (Greengard & Lee, sec. 3)
+        gb = g[:, :f.size]
+        e2 = np.exp(2.0 * a * d)
+        gb[taps - 1] = np.exp(-a * d * d)
+        for j in range(taps, 2 * taps):
+            np.multiply(gb[j - 1], e2, out=gb[j])
+        np.reciprocal(e2, out=e2)
+        for j in range(taps - 2, -1, -1):
+            np.multiply(gb[j + 1], e2, out=gb[j])
+        gb *= e3
+        idx = ((l0.astype(np.intp) + shift) + offsets[:, None]).ravel()
+        phase = f * times[half]
+        w = weights[lo:lo + _LINE_BLOCK]
+        for acc, part in zip(spread, (np.cos(phase), np.sin(phase))):
+            acc += np.bincount(idx, weights=(gb * (w * part)).ravel(), minlength=size)
+    fold = (np.arange(size) - shift) % m
+    grid = np.bincount(fold, spread[0], m) + 1j * np.bincount(fold, spread[1], m)
+    k = np.arange(-half, n - half)
+    tau = math.pi**2 / (m * m * a)
+    return np.fft.ifft(grid)[k % m].real * (m * math.sqrt(a / math.pi) * np.exp(tau * k * k))
+
+
 def cos_sum(weights, freqs, times):
     """sum_p w_p cos(omega_p t) at each t.
 
-    On a uniform grid t_k = t_0 + k dt, k = j L + r with L = ceil(sqrt n),
-    the sum is Re(A @ E) with A[j, p] = w_p exp(i omega_p T_j) at the
-    coarse times T_j = t_{jL} and E[p, r] = exp(i omega_p r dt). That is
-    one complex GEMM per block of lines and ~2 sqrt(n) exponentials per
-    line instead of n cosines; the last row's entries past t_{n-1} are
-    dropped. It is exact up to roundoff: T_j + r dt differs from t_k only
-    by the grid's own few-ulp drift, which ``_uniform_step`` bounds at
-    _GRID_ULPS ulps of max|t|. Blocks of _LINE_BLOCK lines bound the
-    temporaries to a few complex (sqrt n x block) arrays: a ~13 MB peak
-    at n = 4001, against 64 MB for the direct sum. Other grids take the
-    direct sum, chunked to 4e6 entries.
+    A uniform grid t_k = t_0 + k dt of n >= _NUFFT_POINTS points takes a
+    type-1 nonuniform FFT (Dutt & Rokhlin, SIAM J. Sci. Comput. 14, 1368
+    (1993); Greengard & Lee, SIAM Rev. 46, 443 (2004)). Centred on
+    t_c = t_{n//2}, with k' = k - n//2, the sum is Re sum_p c_p e^{i k' x_p}
+    with c_p = w_p e^{i omega_p t_c} and x_p = omega_p dt reduced to
+    [-pi, pi]. Each line is spread onto an oversampled periodic grid by a
+    Gaussian of _NUFFT_TAPS points per side; one inverse FFT and a division
+    by the Gaussian's Fourier transform give every k'. Its error, derived
+    beside the constants, is <= 1e-14 sum |w| besides the eps |omega| max|t|
+    phase roundoff that every path shares: 100x below the tightest oracle
+    test tolerance (1e-12), so the oracle's FID stays an independent check.
+    Memory is a few arrays of 2 _NUFFT_TAPS x _LINE_BLOCK entries and the
+    ~3n-point grid.
+
+    Shorter uniform grids, k = j L + r with L = ceil(sqrt n), take the sum
+    as Re(A @ E) with A[j, p] = w_p exp(i omega_p T_j) at the coarse times
+    T_j = t_{jL} and E[p, r] = exp(i omega_p r dt): one complex GEMM per
+    block of _LINE_BLOCK lines and ~2 sqrt(n) exponentials per line instead
+    of n cosines; the last row's entries past t_{n-1} are dropped. It is
+    exact up to roundoff.
+
+    Both paths read t_k as t_0 + k dt, which ``_uniform_step`` bounds at
+    _GRID_ULPS ulps of max|t| from the grid's own points. Other grids take
+    the direct sum, chunked to 4e6 entries.
     """
     times = np.asarray(times, dtype=float)
     step = _uniform_step(times)
+    if step is not None and times.size >= _NUFFT_POINTS:
+        return _nufft_cos_sum(weights, freqs, times, step)
     if step is not None:
         n = times.size
         fine = step * np.arange(math.ceil(math.sqrt(n)))

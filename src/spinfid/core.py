@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +25,8 @@ class SpinParams:
     def __post_init__(self):
         if int(self.two_s) != self.two_s or self.two_s < 1:
             raise InvalidSpecError(f"two_s must be a positive integer, got {self.two_s!r}")
-        if not self.beta > 0:
-            raise InvalidSpecError(f"beta must be positive, got {self.beta!r}")
+        if not 0 < self.beta < math.inf:
+            raise InvalidSpecError(f"beta must be positive and finite, got {self.beta!r}")
 
     @property
     def d(self) -> int:
@@ -53,16 +54,18 @@ class TimeGrid:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise InvalidSpecError("time grid needs at least two samples")
+        if not np.all(np.isfinite(t)):
+            raise InvalidSpecError("time grid must be finite")
         if np.any(np.diff(t) <= 0):
             raise InvalidSpecError("time grid must be strictly increasing")
         object.__setattr__(self, "times", t)
 
     @classmethod
     def linspace(cls, t_max: float, n_points: int) -> "TimeGrid":
-        if not t_max > 0:
-            raise InvalidSpecError(f"t_max must be positive, got {t_max!r}")
-        if n_points < 2:
-            raise InvalidSpecError(f"n_points must be at least 2, got {n_points!r}")
+        if not 0 < t_max < math.inf:
+            raise InvalidSpecError(f"t_max must be positive and finite, got {t_max!r}")
+        if not float(n_points).is_integer() or n_points < 2:
+            raise InvalidSpecError(f"n_points must be an integer of at least 2, got {n_points!r}")
         return cls(np.linspace(0.0, float(t_max), int(n_points)))
 
     def __len__(self) -> int:

@@ -71,6 +71,8 @@ class CouplingTable:
         b = np.asarray(self.b, dtype=float)
         if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] < 2:
             raise InvalidSpecError("b must be a square matrix over >= 2 sites")
+        if not np.all(np.isfinite(b)):
+            raise InvalidSpecError("b matrix must be finite")
         if np.max(np.abs(b - b.T)) > _SYM_TOL:
             raise InvalidSpecError("b matrix must be symmetric")
         if np.max(np.abs(np.diag(b))) > 0:
@@ -79,6 +81,8 @@ class CouplingTable:
         if a is None:
             a = -b / 2.0
         a = np.asarray(a, dtype=float)
+        if not np.all(np.isfinite(a)):
+            raise InvalidSpecError("a matrix must be finite")
         if a.shape != b.shape or np.max(np.abs(a - a.T)) > _SYM_TOL:
             raise InvalidSpecError("a matrix must be symmetric and match b in shape")
         object.__setattr__(self, "b", b)

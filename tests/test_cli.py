@@ -259,6 +259,22 @@ def test_main_lattice_extra_keys_exit_2(tmp_path, capsys, lattice):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("config, key", [
+    (minimal(grid={"t_max": float("inf"), "n_points": 11}), "key 'grid'"),
+    (minimal(spin={"two_s": 1, "beta": float("inf")}), "key 'spin'"),
+    (minimal(mode="ising_oracle_compare",
+             lattice={"b_matrix": [[0.0, float("nan")], [float("nan"), 0.0]]}), "key 'lattice'"),
+])
+def test_main_non_finite_input_exit_2(tmp_path, capsys, config, key):
+    # json writes and reads Infinity and NaN; no guard may let them through
+    path = write_cfg(tmp_path, config)
+    assert "Infinity" in Path(path).read_text() or "NaN" in Path(path).read_text()
+    assert main(["run", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_main_guard_error_exit_3(tmp_path, capsys):
     b = (np.ones((7, 7)) - np.eye(7)).tolist()
     path = write_cfg(tmp_path, minimal(

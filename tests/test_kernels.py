@@ -108,6 +108,64 @@ def test_cos_sum_non_uniform_grids():
         assert_matches_brute(*lines(2000, times, seed=3), times)
 
 
+def longdouble_cos_sum(weights, freqs, times):
+    w, f = weights.astype(np.longdouble), freqs.astype(np.longdouble)
+    return np.array([np.sum(w * np.cos(f * np.longdouble(t))) for t in times], dtype=float)
+
+
+def nufft_bound(weights, freqs, times):
+    """cos_sum's stated bound: 1e-14 sum |w| for the NUFFT, plus each line's
+    phase roundoff of a few eps |omega| max|t|, which every path shares."""
+    eps = np.finfo(float).eps
+    phase = 4.0 * eps * np.max(np.abs(times)) * np.sum(np.abs(weights * freqs))
+    return 1e-14 * np.sum(np.abs(weights)) + phase
+
+
+NUFFT_GRIDS = {
+    "odd-4001": -3.7 + 0.0021 * np.arange(4001),
+    "even-4000": -2.0 + 0.001 * np.arange(4000),
+    "decreasing": 2.0 - 0.0137 * np.arange(301),
+    "constant": np.full(200, 1.3),
+}
+
+
+@pytest.mark.parametrize("grid", NUFFT_GRIDS, ids=NUFFT_GRIDS)
+@pytest.mark.parametrize("band", ["low", "aliased", "one-line"])
+def test_cos_sum_nufft_matches_longdouble(grid, band):
+    # low: |omega| max|t| <= 10, so the phase roundoff stays below 1e-14
+    # sum |w| and the bound checks the NUFFT itself; aliased: |omega dt| up
+    # to 3 pi, folded onto [-pi, pi] before spreading
+    times = NUFFT_GRIDS[grid]
+    assert times.size >= K._NUFFT_POINTS and K._uniform_step(times) is not None
+    rng = np.random.default_rng(90)
+    dt = abs(times[1] - times[0])
+    top = 10.0 / np.max(np.abs(times)) if band == "low" else 3.0 * np.pi / max(dt, 0.01)
+    count = 1 if band == "one-line" else 600
+    weights, freqs = rng.uniform(-1.0, 1.0, count), rng.uniform(-top, top, count)
+    err = np.max(np.abs(K.cos_sum(weights, freqs, times) - longdouble_cos_sum(weights, freqs, times)))
+    assert err <= nufft_bound(weights, freqs, times)
+
+
+def test_cos_sum_paths_meet_at_the_threshold(monkeypatch):
+    # n = _NUFFT_POINTS - 1 takes the GEMM, n = _NUFFT_POINTS the NUFFT; on
+    # their common times both meet the bound against the long-double sum
+    calls = []
+    nufft = K._nufft_cos_sum
+    monkeypatch.setattr(K, "_nufft_cos_sum", lambda *args: calls.append(1) or nufft(*args))
+    times = -1.1 + 0.05 * np.arange(K._NUFFT_POINTS)
+    rng = np.random.default_rng(91)
+    weights, freqs = rng.uniform(-1.0, 1.0, 600), rng.uniform(-60.0, 60.0, 600)
+    ref = longdouble_cos_sum(weights, freqs, times)
+    bound = nufft_bound(weights, freqs, times)
+    gemm = K.cos_sum(weights, freqs, times[:-1])
+    assert not calls
+    fast = K.cos_sum(weights, freqs, times)
+    assert calls == [1]
+    assert np.max(np.abs(gemm - ref[:-1])) <= bound
+    assert np.max(np.abs(fast - ref)) <= bound
+    assert np.max(np.abs(fast[:-1] - gemm)) <= bound
+
+
 def test_cos_sum_memory_bound():
     rng = np.random.default_rng(4)
     weights, freqs = rng.random(50_000), rng.normal(0.0, 5.0, 50_000)

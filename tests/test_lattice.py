@@ -128,6 +128,12 @@ def test_table_validation():
         CouplingTable(b=np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric
     with pytest.raises(InvalidSpecError):
         CouplingTable(b=np.array([[1.0, 1.0], [1.0, 0.0]]))  # nonzero diagonal
+    b = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidSpecError, match="b matrix must be finite"):
+            CouplingTable(b=np.array([[0.0, bad], [bad, 0.0]]))
+        with pytest.raises(InvalidSpecError, match="a matrix must be finite"):
+            CouplingTable(b=b, a=np.array([[0.0, bad], [bad, 0.0]]))
 
 
 def test_lattice_from_config():

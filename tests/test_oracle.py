@@ -410,17 +410,26 @@ def sector_case(request):
     return EvolvedCluster.build(spin, table, "dipolar"), w, v, v.T @ total_sx(spin, n) @ v
 
 
+# uniform grids of >= K._NUFFT_POINTS (128) points take cos_sum's NUFFT,
+# shorter ones its GEMM; "linspace" (401 points) and "offset" (300) take the
+# NUFFT as well
 @pytest.mark.parametrize("grid", [TimeGrid.linspace(20.0, 401),
-                                  TimeGrid(1.7 + 0.011 * np.arange(300))],
-                         ids=["linspace", "offset"])
+                                  TimeGrid(1.7 + 0.011 * np.arange(300)),
+                                  TimeGrid.linspace(30.0, 4001),
+                                  TimeGrid(-2.3 + 0.013 * np.arange(500)),
+                                  TimeGrid(-2.3 + 0.05 * np.arange(97))],
+                         ids=["linspace", "offset", "linspace4001-nufft",
+                              "negoffset-nufft", "negoffset-gemm"])
 def test_sector_fid_matches_dense_eigh(sector_case, grid):
     # reference: sum over every pair of eigenstates, sum_xy w2[x, y]
-    # cos((E_x - E_y) t) = Re p^T w2 p* with p = exp(-i E t), time by time
+    # cos((E_x - E_y) t) = Re p^T w2 p* with p = exp(-i E t), time by time,
+    # at <= 401 of the grid's times
     cluster, w, _, sx = sector_case
     w2 = sx**2
-    phase = np.exp(-1j * np.multiply.outer(w, grid.times))
+    at = np.unique(np.linspace(0, len(grid) - 1, 401).astype(int))
+    phase = np.exp(-1j * np.multiply.outer(w, grid.times[at]))
     ref = np.einsum("xt,xt->t", phase, w2 @ phase.conj()).real / np.sum(w2)
-    np.testing.assert_allclose(cluster.fid(grid), ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(cluster.fid(grid)[at], ref, rtol=0, atol=1e-12)
 
 
 def test_sector_deviation_matches_dense_eigh(sector_case):
