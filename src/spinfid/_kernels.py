@@ -14,12 +14,6 @@ import math
 
 import numpy as np
 
-# Switch radius to the Chebyshev branch of sin(dx)/(d sin x). The direct
-# ratio loses ~|x| eps / |sin x| absolute accuracy near the poles (the
-# rounding of d*x lands on a zero of the numerator), while the Chebyshev
-# recurrence stays at ~d^3 eps for any window, so the window is kept wide.
-_SIN_EPS = 1e-3
-
 # cos_sum's uniform-grid paths: np.linspace drifts ~1 ulp of max|t| from
 # t_0 + k dt (its last point is set to t_max exactly), so allow a few
 _GRID_ULPS = 8
@@ -64,60 +58,54 @@ _NU_MAX = 0.1
 _SERIES_N = 16
 
 
-def dirichlet_ratio(d, x):
-    """sin(d x) / (d sin x) elementwise, with removable singularities filled.
-
-    Near sin x = 0 the ratio is evaluated as U_{d-1}(cos x)/d via the
-    Chebyshev recurrence, which is exact at the singular points.
-    """
+def _half_dirichlet(d, x, trig):
+    """sum_{0 < m <= S} trig(m x)^2 elementwise, S = (d - 1)/2, for d >= 2."""
     x = np.asarray(x, dtype=float)
-    s = np.sin(x)
-    small = np.abs(s) < _SIN_EPS
-    safe = np.where(small, 1.0, s)
-    out = np.sin(d * x) / (d * safe)
-    if np.any(small):
-        c = np.cos(x[small])
-        u_prev = np.ones_like(c)
-        u = 2.0 * c
-        for _ in range(2, d):
-            u_prev, u = u, 2.0 * c * u - u_prev
-        out[small] = (u if d >= 2 else u_prev) / d
-    return out
+    return sum(trig((0.5 * (d - 1) - k) * x) ** 2 for k in range(d // 2))
 
 
 def dirichlet_ratio_m1(d, x):
-    """sin(d x)/(d sin x) - 1, cancellation-free.
+    """g(x) - 1 for g(x) = sin(d x) / (d sin x), elementwise, d = 2S + 1.
 
-    Uses the identity g(x) - 1 = -(2/d) * sum_m sin^2(m x) over the 2S+1
-    magnetic quantum numbers m, exact for any x.
+    g is the Dirichlet kernel (1/d) sum_m cos(2 m x) over the magnetic
+    numbers m = -S..S. Pairing +-m and writing cos 2y = 1 - 2 sin^2 y gives
+    g - 1 = -(4/d) sum_{0 < m <= S} sin^2(m x): d // 2 sines per point, no
+    division, and no cancellation, as every term has the same sign. The
+    removable singularities at x = k pi need no branch, and g(0) = 1 exactly.
     """
-    x = np.asarray(x, dtype=float)
-    m = 0.5 * (d - 1) - np.arange(d)
-    return -(2.0 / d) * np.sum(np.sin(np.multiply.outer(x, m)) ** 2, axis=-1)
+    return _half_dirichlet(d, x, np.sin) * (-4.0 / d)
 
 
-def fid_product(d, couplings, times):
-    """prod_f sin(d b_f t)/(d sin b_f t) at each t."""
-    times = np.asarray(times, dtype=float)
-    out = np.ones_like(times)
-    for b in couplings:
-        out *= dirichlet_ratio(d, b * times)
-    return out
+def dirichlet_ratio_p1(d, x):
+    """g(x) + 1 = (2/d) sum_m cos^2(m x), the other half of ``dirichlet_ratio_m1``.
+
+    Paired as (4/d) (1/2 [d odd] + sum_{0 < m <= S} cos^2(m x)); it does not
+    cancel where g = -1 (half-integer S at odd multiples of pi).
+    """
+    return (0.5 * (d % 2) + _half_dirichlet(d, x, np.cos)) * (4.0 / d)
+
+
+def dirichlet_ratio(d, x):
+    """sin(d x) / (d sin x) elementwise, as 1 + ``dirichlet_ratio_m1``."""
+    return 1.0 + dirichlet_ratio_m1(d, x)
 
 
 def fid_deficit(d, couplings, times):
-    """prod_f g(b_f t) - 1 without cancellation (valid while every g > 0).
+    """prod_f g(b_f t) - 1 at each t, by D <- D + m_f (1 + D) with m_f = g(b_f t) - 1.
 
-    Falls back to the direct product when a factor is non-positive, which
-    only happens far from t = 0 where the deficit is O(1) anyway.
+    Every m_f <= 0 and every partial product 1 + D lies in [-1, 1], so near
+    t = 0, where the deficit is small, all updates add terms of one sign.
     """
     times = np.asarray(times, dtype=float)
-    m1 = np.array([dirichlet_ratio_m1(d, b * times) for b in couplings])
-    ok = np.all(m1 > -1.0, axis=0)
-    out = np.expm1(np.sum(np.log1p(m1, where=m1 > -1.0, out=np.zeros_like(m1)), axis=0))
-    if not np.all(ok):
-        out = np.where(ok, out, fid_product(d, couplings, times) - 1.0)
+    out = np.zeros_like(times)
+    for b in couplings:
+        out += dirichlet_ratio_m1(d, b * times) * (1.0 + out)
     return out
+
+
+def fid_product(d, couplings, times):
+    """prod_f sin(d b_f t)/(d sin b_f t) at each t, as 1 + ``fid_deficit``."""
+    return 1.0 + fid_deficit(d, couplings, times)
 
 
 def lattice_fid(d, b_matrix, times):

@@ -283,6 +283,7 @@ def _ratio_table_lines() -> list[str]:
 
 
 def _run_ising_analytic(cfg: RunConfig, out_dir: Path):
+    oracle._beta_guard(cfg.spin, 2, cfg.spin.beta)
     ctx = ising.PairContext.from_table(cfg.spin, cfg.table, *cfg.pair)
     series = ising.correlation_series(ctx, cfg.grid, cfg.measurement)
     path = write_csv_atomic(out_dir / cfg.output, series.header, series.rows())
@@ -352,6 +353,7 @@ def _run_oracle_compare(cfg: RunConfig, out_dir: Path):
 
 
 def _run_dipolar_memory(cfg: RunConfig, out_dir: Path):
+    oracle._beta_guard(cfg.spin, 2, cfg.spin.beta)
     spin, table = cfg.spin, cfg.table
     i, j = cfg.pair
     sum_b2 = lattice_sum(table, i, 2)

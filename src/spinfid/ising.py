@@ -65,17 +65,19 @@ class PairContext:
 
     @property
     def equivalent(self) -> bool:
-        """Whether both environments agree as multisets (tol 1e-12)."""
+        """Whether both environments agree as multisets, to 1e-12 of the largest |b|."""
         a = np.sort(np.asarray(self.other_couplings_i))
         b = np.sort(np.asarray(self.other_couplings_j))
-        return a.shape == b.shape and (a.size == 0 or float(np.max(np.abs(a - b))) <= 1e-12)
+        scale = np.max(np.abs(np.concatenate([[self.b_ij], a, b])))
+        return a.shape == b.shape and bool(np.all(np.abs(a - b) <= 1e-12 * scale))
 
 
 def coupling_fid_factor(spin: SpinParams, b_ij: float, t):
     """Single-neighbor FID factor sin(d b t)/(d sin b t).
 
-    Removable singularities at b*t = k*pi take the limit value
-    (-1)^(k(d-1)). For spin 1/2 this reduces to cos(b t).
+    Evaluated as 1 - (4/d) sum_{0 < m <= S} sin^2(m b t), which is regular
+    everywhere: at the removable singularities b t = k pi it gives the limit
+    (-1)^(k(d-1)) without a special case. For spin 1/2 it is cos(b t).
     """
     x, scalar = _as_grid(t)
     return _ret(K.dirichlet_ratio(spin.d, b_ij * x), scalar)
@@ -174,10 +176,7 @@ def moments_zz(spin: SpinParams, sum_b2: float, sum_b4: float):
 def mutual_info_ising(ctx: PairContext, t):
     """Pair mutual information (bits), exact to second order in beta."""
     x, scalar = _as_grid(t)
-    env = environment_factor(ctx, x)
-    g = K.dirichlet_ratio(ctx.spin.d, ctx.b_ij * x)
-    val = (ctx.spin.beta * env) ** 2 / (3.0 * LN2) * ctx.spin.casimir * (1.0 - g**2)
-    return _ret(val, scalar)
+    return _ret(_pair_series(ctx, x, "povm")[1], scalar)  # I is the same under any measurement
 
 
 def von_neumann_split(ctx: PairContext, t):
@@ -186,12 +185,9 @@ def von_neumann_split(ctx: PairContext, t):
     Only defined for spin 1/2, where both shares equal half the mutual
     information. Returns (classical, discord).
     """
-    if ctx.spin.two_s != 1:
-        raise UnsupportedSpinError("orthogonal-measurement split is only given for spin 1/2")
     x, scalar = _as_grid(t)
-    env = environment_factor(ctx, x)
-    c = (ctx.spin.beta * env) ** 2 / (8.0 * LN2) * np.sin(ctx.b_ij * x) ** 2
-    return _ret(c, scalar), _ret(c.copy(), scalar)
+    _, _, c, q = _pair_series(ctx, x, "von_neumann")
+    return _ret(c, scalar), _ret(q, scalar)
 
 
 def povm_split(ctx: PairContext, t):
@@ -202,15 +198,38 @@ def povm_split(ctx: PairContext, t):
     check. Returns (classical, quantum).
     """
     x, scalar = _as_grid(t)
+    _, _, j, q = _pair_series(ctx, x, "povm")
+    return _ret(j, scalar), _ret(q, scalar)
+
+
+def _pair_series(ctx: PairContext, x, measurement: str):
+    """(FID, I, classical, quantum) at the times x, to second order in beta.
+
+    The environment product env and m = g(b_ij t) - 1 are formed once; the
+    FID is env (1 + m). 1 - g^2 = -m (1 + g) and, for the POVM overlap f,
+    1 - f = -sin^2(b t) sum_{n >= 1} c_n sin^(2(n-1))(b t) cancel neither at
+    small t nor at the poles b t = k pi:
+        I = (beta env)^2 S(S+1) (1 - g^2) / (3 ln 2),
+        Q = (beta env)^2 [S(S+1) (1 - f) + S (1 - g^2)] / (6 ln 2),
+        J = (beta env)^2 [S(S+1) (f - g^2) + S^2 (1 - g^2)] / (6 ln 2),
+    and the orthogonal measurement (spin 1/2) splits I in halves.
+    """
+    spin, bx = ctx.spin, ctx.b_ij * x
     env = environment_factor(ctx, x)
-    spin = ctx.spin
-    g2 = K.dirichlet_ratio(spin.d, ctx.b_ij * x) ** 2
-    f = K.poly_in_sin2(_povm_overlap_coeffs(spin.two_s), ctx.b_ij * x)
-    pref = (spin.beta * env) ** 2 / (6.0 * LN2)
-    s = spin.s
-    classical = pref * (spin.casimir * (f - g2) + s * s * (1.0 - g2))
-    quantum = pref * (spin.casimir * (1.0 - f) + s * (1.0 - g2))
-    return _ret(classical, scalar), _ret(quantum, scalar)
+    m = K.dirichlet_ratio_m1(spin.d, bx)
+    loss_g = -m * K.dirichlet_ratio_p1(spin.d, bx)
+    weight = (spin.beta * env) ** 2 / LN2
+    info = weight * spin.casimir / 3.0 * loss_g
+    if measurement == "von_neumann":
+        if spin.two_s != 1:
+            raise UnsupportedSpinError("orthogonal-measurement split is only given for spin 1/2")
+        classical, quantum = 0.5 * info, 0.5 * info
+    else:
+        coeffs = _povm_overlap_coeffs(spin.two_s)
+        loss_f = K.poly_in_sin2(np.concatenate([[0.0], -coeffs[1:]]), bx)
+        quantum = weight / 6.0 * (spin.casimir * loss_f + spin.s * loss_g)
+        classical = weight / 6.0 * (spin.casimir * (loss_g - loss_f) + spin.s**2 * loss_g)
+    return env + m * env, info, classical, quantum
 
 
 def small_time_expansions(ctx: PairContext, t):
@@ -314,16 +333,12 @@ class CorrelationSeries:
 
 
 def correlation_series(ctx: PairContext, grid: TimeGrid, measurement: str = "povm") -> CorrelationSeries:
-    """Evaluate FID and the correlation split on a time grid."""
+    """FID (``fid_zz`` over b_ij and the environment), I and the split on a grid.
+
+    All come from one environment product; see ``_pair_series``.
+    """
     if measurement not in ("povm", "von_neumann"):
         raise InvalidSpecError(f"unknown measurement kind {measurement!r}")
-    t = grid.times
-    all_couplings = np.concatenate([[ctx.b_ij], ctx.other_couplings_i])
-    fid = fid_zz(ctx.spin, all_couplings, t)
-    info = mutual_info_ising(ctx, t)
-    if measurement == "von_neumann":
-        classical, quantum = von_neumann_split(ctx, t)
-    else:
-        classical, quantum = povm_split(ctx, t)
+    fid, info, classical, quantum = _pair_series(ctx, grid.times, measurement)
     return CorrelationSeries(grid=grid, fid=fid, mutual_info=info,
                              classical=classical, quantum=quantum, measurement=measurement)

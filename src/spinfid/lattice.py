@@ -130,13 +130,13 @@ def lattice_sum(table: CouplingTable, probe: int, p: int) -> float:
 
 
 def equivalent_sites_check(table: CouplingTable, tol: float = _SYM_TOL) -> bool:
-    """True iff every site sees the same multiset of couplings.
+    """True iff every site sees the same multiset of couplings, to tol * max |b|.
 
     Gates the symmetric pair formulas where both spins of a pair carry the
-    same environment attenuation factor.
+    same environment attenuation factor; only b t is physical.
     """
     rows = np.sort(np.array([table.couplings_of(i) for i in range(table.n_sites)]), axis=1)
-    return bool(np.max(np.abs(rows - rows[0])) <= tol)
+    return bool(np.max(np.abs(rows - rows[0])) <= tol * np.max(np.abs(rows)))
 
 
 def _reject_extra_keys(cfg: dict, main: str, optional: tuple[str, ...]) -> None:

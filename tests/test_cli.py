@@ -295,6 +295,40 @@ def test_main_chain_guard_exit_3(tmp_path, capsys):
     assert "guard error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["ising_analytic", "dipolar_memory"])
+def test_main_huge_beta_exit_3(tmp_path, capsys, mode):
+    # the pair guard of the oracle modes: beta * S * 2 >= 1 breaks positivity
+    path = write_cfg(tmp_path, minimal(mode=mode, spin={"two_s": 1, "beta": 1e300},
+                                       grid={"t_max": 1.0, "n_points": 5}))
+    assert main(["run", path, "--out", str(tmp_path)]) == 3
+    assert "guard error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def ring_sites(n):
+    """n unit-spaced sites on a circle normal to the field: all equivalent."""
+    radius = 0.5 / np.sin(np.pi / n)
+    ang = 2.0 * np.pi * np.arange(n) / n
+    return np.stack([radius * np.cos(ang), radius * np.sin(ang), 0.0 * ang], axis=1).tolist()
+
+
+def test_ising_analytic_rescaled_ring(tmp_path):
+    # only b t is physical: the ring at coupling scale 1000 read at times
+    # t/1000 gives the scale-1 correlations, and the roundoff of its larger
+    # couplings does not make the two sites of the pair look inequivalent
+    info = []
+    for scale in (1.0, 1000.0):
+        out = tmp_path / f"scale{scale:g}"
+        path = write_cfg(tmp_path, minimal(
+            spin={"two_s": 2, "beta": 1e-3},
+            lattice={"sites": ring_sites(20), "coupling_scale": scale},
+            grid={"t_max": 5.0 / scale, "n_points": 41}))
+        assert main(["run", path, "--out", str(out)]) == 0
+        header, data = read_csv(out / "ising_analytic.csv")
+        info.append(data[:, header.index("I")])
+    np.testing.assert_allclose(info[1], info[0], rtol=1e-12, atol=0)
+
+
 def test_shipped_configs_load_no_scipy(tmp_path):
     # a fresh interpreter, so that modules imported by the tests do not count
     repo = Path(__file__).resolve().parents[1]

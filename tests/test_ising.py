@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,20 @@ ONE = SpinParams(two_s=2, beta=1e-3)
 
 def isolated_pair(spin, b=1.0):
     return PairContext(spin=spin, b_ij=b)
+
+
+# 40-digit references, built from the definitions only: call them inside
+# mpmath.workdps(40) with mpf arguments
+
+def mp_factor(d, x):
+    """sin(d x)/(d sin x), 1 at x = 0."""
+    return mpmath.sin(d * x) / (d * mpmath.sin(x)) if x else mpmath.mpf(1)
+
+
+def mp_overlap(two_s, x):
+    """The POVM overlap sum_n C(2S,n) (2n)!!/(2n+1)!! (-sin^2 x)^n."""
+    return mpmath.fsum(math.comb(two_s, n) * mpmath.fac2(2 * n) / mpmath.fac2(2 * n + 1)
+                       * (-mpmath.sin(x) ** 2) ** n for n in range(two_s + 1))
 
 
 # -- single factors -------------------------------------------------------------
@@ -84,9 +99,10 @@ def test_fid_at_zero_is_one():
 def test_fid_deficit_matches_direct():
     bs = [0.3, -0.8, 0.5]
     t = np.linspace(1e-4, 0.5, 50)
-    direct = fid_zz(ONE, bs, t) - 1.0
-    # the direct difference itself carries ~eps(1) cancellation noise
-    np.testing.assert_allclose(fid_zz_deficit(ONE, bs, t), direct, rtol=1e-8, atol=1e-15)
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.fprod(mp_factor(3, mpmath.mpf(b) * mpmath.mpf(v)) for b in bs) - 1)
+                        for v in t])
+    np.testing.assert_allclose(fid_zz_deficit(ONE, bs, t), ref, rtol=1e-14, atol=0)
 
 
 def test_gaussian_fid_shape_is_spin_free():
@@ -187,6 +203,24 @@ def test_povm_additivity_property(two_s, t, b, env):
     assert j + q == pytest.approx(i, abs=1e-12)
 
 
+@pytest.mark.parametrize("two_s", [1, 2, 3, 4])
+def test_quantum_share_follows_its_small_time_trend(two_s):
+    # Q/I - 1/(S+1) grows as (b t)^2 from ~1e-11 at b t = 1e-5 (it is 0 for
+    # spin 1/2): Q/I must be right to the roundoff of 1/(S+1) for the trend
+    # to show rather than the cancellation noise of 1 - g^2 and 1 - f
+    spin = SpinParams(two_s)
+    ctx = isolated_pair(spin)
+    x = np.geomspace(1e-5, 1e-2, 13)
+    share = povm_split(ctx, x)[1] / mutual_info_ising(ctx, x)
+    ref = []
+    with mpmath.workdps(40):
+        s, c = mpmath.mpf(spin.s), mpmath.mpf(spin.casimir)
+        for v in map(mpmath.mpf, x):
+            loss_g = 1 - mp_factor(spin.d, v) ** 2
+            ref.append(float((c * (1 - mp_overlap(two_s, v)) + s * loss_g) / (2 * c * loss_g)))
+    np.testing.assert_allclose(share, ref, rtol=0, atol=4 * np.finfo(float).eps)
+
+
 def test_small_time_expansions():
     ctx = isolated_pair(HALF)
     i_a, q_a, ratio = small_time_expansions(ctx, 0.01)
@@ -234,6 +268,32 @@ def test_concurrent_evaluation_over_time_chunks():
 
 
 # -- series ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("two_s", [1, 2, 3, 4])
+def test_correlation_series_matches_mpmath(two_s):
+    # small times, and b t within 1e-3 of the poles k pi of sin(d x)/(d sin x)
+    spin = SpinParams(two_s)
+    env = (0.05, -0.12)
+    ctx = PairContext(spin=spin, b_ij=1.0, other_couplings_i=env, other_couplings_j=env)
+    poles = np.pi * np.array([1.0, 2.0, 3.0])
+    t = np.sort(np.concatenate([[1e-6, 1e-5, 1e-4, 1e-3],
+                                (poles[:, None] + [-1e-3, -1e-6, 1e-6, 1e-3]).ravel()]))
+    series = correlation_series(ctx, TimeGrid(times=t), "povm")
+    fid, info = [], []
+    with mpmath.workdps(40):
+        for v in map(mpmath.mpf, t):
+            e = mpmath.fprod(mp_factor(spin.d, mpmath.mpf(b) * v) for b in env)
+            g = mp_factor(spin.d, v)
+            fid.append(float(e * g))
+            info.append(float((spin.beta * e) ** 2 * spin.casimir * (1 - g**2) / (3 * mpmath.log(2))))
+    np.testing.assert_allclose(series.fid, fid, rtol=1e-13, atol=0)
+    # near a pole I ~ (b t - k pi)^2, so a relative eps in b t moves it by
+    # 2 eps b t / |b t - k pi|: the size of the rounding of m b t in the
+    # sines for m = 3/2 (spin 3/2; the other m b t here are exact)
+    k = np.round(t / np.pi)
+    cond = 2.0 * np.finfo(float).eps * t / np.abs(t - k * np.pi)
+    assert np.all(np.abs(series.mutual_info / info - 1.0) <= 1e-13 + cond)
+
 
 def test_correlation_series_roundtrip():
     ctx = isolated_pair(HALF)

@@ -31,27 +31,36 @@ def test_dirichlet_singular_points(d):
     assert np.all(np.isfinite(K.dirichlet_ratio(d, near)))
 
 
+def mp_dirichlet(d, x):
+    """sin(d x)/(d sin x) at 40 digits for a float x, 1 at x = 0."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(x))
+        return mpmath.sin(d * x) / (d * mpmath.sin(x)) if x else mpmath.mpf(1)
+
+
 def test_dirichlet_m1_consistency():
     x = np.linspace(1e-9, 0.5, 200)
     for d in (2, 3, 6):
-        direct = K.dirichlet_ratio(d, x) - 1.0
-        stable = K.dirichlet_ratio_m1(d, x)
-        np.testing.assert_allclose(stable, direct, rtol=1e-6, atol=1e-15)
+        with mpmath.workdps(40):
+            ref = np.array([float(mp_dirichlet(d, v) - 1) for v in x])
+        np.testing.assert_allclose(K.dirichlet_ratio_m1(d, x), ref, rtol=2e-15, atol=0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 10])
 def test_dirichlet_accurate_around_poles(d):
-    # reference: the exact magnetic-number sum 1 - (2/d) sum_m sin^2(m x),
-    # whose absolute error stays at ~d*eps for any argument; the ratio
-    # implementation must track it through the branch switch
+    # the ratio and its deficit through the removable singularities x = k pi
     xs = []
     for k in range(1, 10):
         for eps in np.geomspace(1e-13, 5e-3, 15):
             xs += [k * np.pi + eps, k * np.pi - eps]
         xs.append(k * np.pi)
     xs = np.array(xs)
-    ref = 1.0 + K.dirichlet_ratio_m1(d, xs)
-    np.testing.assert_allclose(K.dirichlet_ratio(d, xs), ref, rtol=0, atol=5e-12)
+    with mpmath.workdps(40):
+        ref = [mp_dirichlet(d, x) for x in xs]
+        ref_m1 = np.array([float(g - 1) for g in ref])
+    np.testing.assert_allclose(K.dirichlet_ratio(d, xs), np.array(ref, dtype=float),
+                               rtol=0, atol=2e-15)
+    np.testing.assert_allclose(K.dirichlet_ratio_m1(d, xs), ref_m1, rtol=0, atol=2e-15)
 
 
 # -- cos_sum -------------------------------------------------------------------------

@@ -123,6 +123,20 @@ def test_equivalent_sites():
     assert not equivalent_sites_check(table)
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
+def test_equivalent_sites_at_any_coupling_scale(scale):
+    # a ring normal to the field is circulant up to roundoff, which grows
+    # with the couplings; the check compares them relative to max |b|
+    n = 20
+    ang = 2.0 * np.pi * np.arange(n) / n
+    pos = np.stack([np.cos(ang), np.sin(ang), np.zeros(n)], axis=1) * (0.5 / np.sin(np.pi / n))
+    table = build_couplings(LatticeSpec(site_positions=pos, coupling_scale=scale))
+    assert equivalent_sites_check(table)
+    pos[3, 0] += 1e-6
+    assert not equivalent_sites_check(build_couplings(LatticeSpec(site_positions=pos,
+                                                                  coupling_scale=scale)))
+
+
 def test_table_validation():
     with pytest.raises(InvalidSpecError):
         CouplingTable(b=np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric
