@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -27,24 +29,83 @@ from .errors import ConfigError, GuardError, NumericalError, SpinFidError
 from .lattice import CouplingTable, coupling_rows, lattice_from_config, lattice_sum
 
 MODES = ("ising_analytic", "ising_oracle_compare", "dipolar_memory", "povm_validate")
+_ON_GRID = ("ising_analytic", "ising_oracle_compare", "dipolar_memory")
+_ON_POVM = ("ising_oracle_compare/povm", "povm_validate")
+_CHAIN = ("dipolar_memory",)
+_REQUIRED = object()
+_ABSENT = object()
+_KINDS = {float: "a number", int: "an integer", str: "a string", bool: "a boolean",
+          list: "a list", dict: "an object"}
 
-DEFAULTS = {
-    "spin.two_s": 1,
-    "spin.beta": 1e-3,
-    "pair": (0, 1),
-    "grid.t_max": 10.0,
-    "grid.n_points": 201,
-    "measurement": None,  # resolved from spin: von_neumann for S=1/2, else povm
-    "quadrature.n_theta": 64,
-    "quadrature.n_phi": 128,
-    "hierarchy.K": 2,
-    "hierarchy.closure": "gaussian_tail",
-    "hierarchy.K_ext": 64,
-    "spin_sweep": (1, 2, 3, 4),
-    "output": None,  # resolved from mode
-}
 
-_RATIO_SWEEP = (1, 2, 3, 4)  # two_s values for the quantum-share table
+def _is(value, kind) -> bool:
+    """JSON typing: an integer is also a number, a boolean is only a boolean."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _one_of(options):
+    return lambda v: None if v in options else f"must be one of {options}, got {v!r}"
+
+
+def _at_least(low):
+    return lambda v: None if v >= low else f"must be at least {low}, got {v}"
+
+
+def _int_list(ok, what):
+    return lambda v: None if v and all(_is(x, int) for x in v) and ok(v) else f"must be {what}"
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: dotted path, JSON type, default, the modes that read it, check.
+
+    ``default`` is a value, ``_REQUIRED``, or a function of the values
+    resolved before it. A ``read_by`` entry ``mode/measurement`` reads the key
+    under that measurement only. ``check`` returns what is wrong with a value
+    of the right type, or None.
+    """
+
+    path: str
+    kind: type
+    default: object
+    read_by: tuple[str, ...]
+    check: Callable[[object], str | None] | None = None
+
+
+KEYS = (
+    Key("mode", str, _REQUIRED, MODES, _one_of(MODES)),
+    Key("spin.two_s", int, 1, _ON_GRID),
+    Key("spin.beta", float, 1e-3, MODES),
+    Key("lattice", dict, {"b_matrix": [[0.0, 1.0], [1.0, 0.0]]}, MODES),  # checked when built
+    Key("pair", list, [0, 1], MODES, _int_list(lambda v: len(v) == 2, "a list of two site indices")),
+    Key("grid.t_max", float, 10.0, _ON_GRID),
+    Key("grid.n_points", int, 201, _ON_GRID),
+    Key("measurement", str,
+        lambda v: "von_neumann" if v["mode"] == "ising_analytic" and v["spin.two_s"] == 1 else "povm",
+        ("ising_analytic", "ising_oracle_compare"), _one_of(("povm", "von_neumann"))),
+    Key("quadrature.n_theta", int, 64, _ON_POVM, _at_least(1)),
+    Key("quadrature.n_phi", int, 128, _ON_POVM, _at_least(1)),
+    Key("hierarchy.K", int, 2, _CHAIN, _one_of((1, 2))),  # moment formulas stop at v_2^2
+    Key("hierarchy.closure", str, "gaussian_tail", _CHAIN, _one_of(memory.CLOSURES)),
+    Key("hierarchy.K_ext", int, 64, _CHAIN, _at_least(2)),
+    # absent: the probe's dipolar m2 with a Gaussian line's m4 and m6
+    Key("moments.m2", float, None, _CHAIN),
+    Key("moments.m4", float, None, _CHAIN),
+    Key("moments.m6", float, None, _CHAIN),
+    Key("spin_sweep", list, [1, 2, 3, 4], ("povm_validate",),
+        _int_list(lambda v: min(v) >= 1, "a nonempty list of positive two_s integers")),
+    Key("output", str, lambda v: f"{v['mode']}.csv", MODES),
+    Key("emit_couplings", bool, False, MODES),
+)
+_KEY = {key.path: key for key in KEYS}
+_SECTIONS = {path.partition(".")[0] for path in _KEY if "." in path}
+_MOMENTS = ("moments.m2", "moments.m4", "moments.m6")
+
+
+def _reads(key: Key, mode: str, measurement: str) -> bool:
+    return mode in key.read_by or f"{mode}/{measurement}" in key.read_by
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,41 +127,44 @@ class RunConfig:
     output: str
     emit_couplings: bool = False
     applied_defaults: tuple[str, ...] = ()
+    unread_keys: tuple[str, ...] = ()
+    values: dict = field(default_factory=dict, repr=False)  # every key's value, by path
     raw: dict = field(default_factory=dict, repr=False)
 
 
-def _get(raw, errors, path, kind, default=None, required=False):
-    node = raw
-    walked = []
-    for part in path.split("."):
-        if not isinstance(node, dict):
-            errors.append(f"key '{'.'.join(walked)}' must be an object")
-            return default
-        if part not in node:
-            if required:
-                errors.append(f"missing required key '{path}'")
-            return default
-        walked.append(part)
-        node = node[part]
-    if kind is float and isinstance(node, (int, float)) and not isinstance(node, bool):
-        return float(node)
-    if kind is int and isinstance(node, int) and not isinstance(node, bool):
-        return node
-    if kind is str and isinstance(node, str):
-        return node
-    if kind is list and isinstance(node, list):
-        return node
-    errors.append(f"key '{path}' must be of type {kind.__name__}, got {type(node).__name__}")
-    return default
+def _lookup(raw: dict, path: str):
+    head, _, leaf = path.partition(".")
+    node = raw.get(head, _ABSENT)
+    if leaf:
+        node = node.get(leaf, _ABSENT) if isinstance(node, dict) else _ABSENT
+    return node
 
 
-def _section(raw, name) -> dict:
-    sect = raw.get(name, {})
-    return sect if isinstance(sect, dict) else {}
+def _unknown_keys(raw: dict) -> list[str]:
+    """Errors for keys outside KEYS, each named by its full path."""
+    errors = []
+    for name, node in raw.items():
+        if name not in _SECTIONS:
+            paths = [name]
+        elif isinstance(node, dict):
+            paths = [f"{name}.{sub}" for sub in node]
+        else:
+            errors.append(f"key '{name}' must be an object")
+            continue
+        errors.extend(f"unknown key '{path}'" for path in paths if path not in _KEY)
+    return errors
+
+
+def _build(errors: list, key: str, make, *args):
+    try:
+        return make(*args)
+    except SpinFidError as exc:
+        errors.append(f"key '{key}': {exc}")
+        return None
 
 
 def validate_config(raw) -> RunConfig:
-    """Validate a parsed (or JSON text) config, reporting every problem."""
+    """Validate a parsed (or JSON text) config against KEYS, reporting every problem."""
     if isinstance(raw, str):
         try:
             raw = json.loads(raw)
@@ -109,158 +173,75 @@ def validate_config(raw) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
 
-    errors: list[str] = []
-    applied: list[str] = []
-
-    mode = _get(raw, errors, "mode", str, required=True)
-    if mode is not None and mode not in MODES:
-        errors.append(f"key 'mode' must be one of {MODES}, got {mode!r}")
-
-    two_s = _get(raw, errors, "spin.two_s", int, DEFAULTS["spin.two_s"])
-    beta = _get(raw, errors, "spin.beta", float, DEFAULTS["spin.beta"])
-    if "two_s" not in _section(raw, "spin"):
-        applied.append(f"spin.two_s = {DEFAULTS['spin.two_s']}")
-    if "beta" not in _section(raw, "spin"):
-        applied.append(f"spin.beta = {DEFAULTS['spin.beta']}")
-    spin = None
-    if two_s is not None and beta is not None:
-        try:
-            spin = SpinParams(two_s=two_s, beta=beta)
-        except SpinFidError as exc:
-            errors.append(f"key 'spin': {exc}")
-
-    table = None
-    if "lattice" in raw:
-        if not isinstance(raw["lattice"], dict):
-            errors.append("key 'lattice' must be an object")
+    errors = _unknown_keys(raw)
+    v: dict = {}  # resolved values; a bad value is replaced by its default
+    given = set()
+    for key in KEYS:
+        node = _lookup(raw, key.path)
+        default = key.default(v) if callable(key.default) else key.default
+        if node is _ABSENT and default is _REQUIRED:
+            errors.append(f"missing required key '{key.path}'")
+        v[key.path] = None if default is _REQUIRED else default
+        if node is _ABSENT:
+            continue
+        given.add(key.path)
+        if not _is(node, key.kind):
+            errors.append(f"key '{key.path}' must be {_KINDS[key.kind]}, got {type(node).__name__}")
+        elif key.check and (problem := key.check(node)):
+            errors.append(f"key '{key.path}' {problem}")
         else:
-            try:
-                table = lattice_from_config(raw["lattice"])
-            except SpinFidError as exc:
-                errors.append(f"key 'lattice': {exc}")
-    else:
-        applied.append("lattice = isolated pair, b_12 = 1")
-        table = CouplingTable(b=np.array([[0.0, 1.0], [1.0, 0.0]]))
+            v[key.path] = float(node) if key.kind is float else node
 
-    pair = DEFAULTS["pair"]
-    if "pair" in raw:
-        p = _get(raw, errors, "pair", list)
-        if p is not None:
-            if len(p) != 2 or not all(isinstance(v, int) and not isinstance(v, bool) for v in p):
-                errors.append("key 'pair' must be a list of two site indices")
-            else:
-                pair = (p[0], p[1])
-    else:
-        applied.append("pair = [0, 1]")
-    if table is not None:
-        n = table.n_sites
-        if not (0 <= pair[0] < n and 0 <= pair[1] < n) or pair[0] == pair[1]:
-            errors.append(f"key 'pair': indices {pair} invalid for {n} sites")
-
-    t_max = _get(raw, errors, "grid.t_max", float, DEFAULTS["grid.t_max"])
-    n_points = _get(raw, errors, "grid.n_points", int, DEFAULTS["grid.n_points"])
-    if "t_max" not in _section(raw, "grid"):
-        applied.append(f"grid.t_max = {DEFAULTS['grid.t_max']}")
-    if "n_points" not in _section(raw, "grid"):
-        applied.append(f"grid.n_points = {DEFAULTS['grid.n_points']}")
-    grid = None
-    if t_max is not None and n_points is not None:
-        try:
-            grid = TimeGrid.linspace(t_max, n_points)
-        except SpinFidError as exc:
-            errors.append(f"key 'grid': {exc}")
-
-    measurement = _get(raw, errors, "measurement", str) if "measurement" in raw else None
-    if measurement is None:
-        measurement = "von_neumann" if (spin is not None and spin.two_s == 1) else "povm"
-        applied.append(f"measurement = {measurement}")
-    elif measurement not in ("povm", "von_neumann"):
-        errors.append(f"key 'measurement' must be 'povm' or 'von_neumann', got {measurement!r}")
-    if measurement == "von_neumann" and spin is not None and spin.two_s != 1:
+    spin = _build(errors, "spin", SpinParams, v["spin.two_s"], v["spin.beta"])
+    table = _build(errors, "lattice", lattice_from_config, v["lattice"])
+    grid = _build(errors, "grid", TimeGrid.linspace, v["grid.t_max"], v["grid.n_points"])
+    pair = tuple(v["pair"])
+    if table is not None and (pair[0] == pair[1] or not all(0 <= p < table.n_sites for p in pair)):
+        errors.append(f"key 'pair': indices {pair} invalid for {table.n_sites} sites")
+    if v["measurement"] == "von_neumann" and spin is not None and spin.two_s != 1:
         errors.append("key 'measurement': von_neumann split requires spin 1/2")
-
-    n_theta = _get(raw, errors, "quadrature.n_theta", int, DEFAULTS["quadrature.n_theta"])
-    n_phi = _get(raw, errors, "quadrature.n_phi", int, DEFAULTS["quadrature.n_phi"])
-    if "quadrature" not in raw:
-        applied.append("quadrature = 64 x 128")
-    if n_theta is not None and n_phi is not None and (n_theta < 1 or n_phi < 1):
-        errors.append("key 'quadrature': orders must be positive")
-
-    hier_k = _get(raw, errors, "hierarchy.K", int, DEFAULTS["hierarchy.K"])
-    closure = _get(raw, errors, "hierarchy.closure", str, DEFAULTS["hierarchy.closure"])
-    k_ext = _get(raw, errors, "hierarchy.K_ext", int, DEFAULTS["hierarchy.K_ext"])
-    if "hierarchy" not in raw:
-        applied.append("hierarchy = K 2, gaussian_tail, K_ext 64")
-    if closure not in memory.CLOSURES:
-        errors.append(f"key 'hierarchy.closure' must be one of {memory.CLOSURES}")
-    if hier_k is not None and hier_k not in (1, 2):
-        errors.append("key 'hierarchy.K' must be 1 or 2 (moment formulas stop at v_2^2)")
-    if k_ext is not None and k_ext < 2:
-        errors.append("key 'hierarchy.K_ext' must be at least 2")
-
     moments = None
-    if "moments" in raw:
-        m2 = _get(raw, errors, "moments.m2", float, required=True)
-        m4 = _get(raw, errors, "moments.m4", float, required=True)
-        m6 = _get(raw, errors, "moments.m6", float, required=True)
-        if None not in (m2, m4, m6):
-            try:
-                moments = memory.MomentSet(m2=m2, m4=m4, m6=m6)
-            except SpinFidError as exc:
-                errors.append(f"key 'moments': {exc}")
-    elif mode == "dipolar_memory":
-        applied.append("moments = dipolar m2 with gaussian-ratio m4, m6")
-
-    sweep = DEFAULTS["spin_sweep"]
-    if "spin_sweep" in raw:
-        s = _get(raw, errors, "spin_sweep", list)
-        if s is not None:
-            if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in s) or not s:
-                errors.append("key 'spin_sweep' must be a nonempty list of positive two_s integers")
-            else:
-                sweep = tuple(s)
-    elif mode == "povm_validate":
-        applied.append("spin_sweep = [1, 2, 3, 4]")
-
-    output = _get(raw, errors, "output", str) if "output" in raw else None
-    if output is None and mode is not None:
-        output = f"{mode}.csv"
-        applied.append(f"output = {output}")
-
-    emit_couplings = raw.get("emit_couplings", False)
-    if not isinstance(emit_couplings, bool):
-        errors.append("key 'emit_couplings' must be a boolean")
-
+    if isinstance(raw.get("moments"), dict):
+        errors.extend(f"missing required key '{p}'" for p in _MOMENTS if p not in given)
+        if None not in (given_moments := [v[p] for p in _MOMENTS]):
+            moments = _build(errors, "moments", memory.MomentSet, *given_moments)
     if errors:
         raise ConfigError("invalid config:\n" + "\n".join(f"  - {e}" for e in errors))
 
+    read = [key.path for key in KEYS if _reads(key, v["mode"], v["measurement"])]
+    if moments is None and _MOMENTS[0] in read:
+        moments = memory.MomentSet.gaussian(
+            memory.dipolar_m2(spin, lattice_sum(table, pair[0], 2)))
+        v.update(zip(_MOMENTS, (moments.m2, moments.m4, moments.m6)))
+    # a switch left out is off, which needs no note
+    applied = [f"{p} = {_show(v[p])}" for p in read
+               if p not in given and not isinstance(v[p], bool)]
     return RunConfig(
-        mode=mode, spin=spin, table=table, pair=pair, grid=grid,
-        measurement=measurement, quadrature=(n_theta, n_phi),
-        hierarchy_k=hier_k, closure=closure, k_ext=k_ext, moments=moments,
-        spin_sweep=sweep, output=output, emit_couplings=emit_couplings,
-        applied_defaults=tuple(applied), raw=dict(raw),
+        mode=v["mode"], spin=spin, table=table, pair=pair, grid=grid,
+        measurement=v["measurement"], quadrature=(v["quadrature.n_theta"], v["quadrature.n_phi"]),
+        hierarchy_k=v["hierarchy.K"], closure=v["hierarchy.closure"], k_ext=v["hierarchy.K_ext"],
+        moments=moments, spin_sweep=tuple(v["spin_sweep"]), output=v["output"],
+        emit_couplings=v["emit_couplings"], applied_defaults=tuple(applied),
+        unread_keys=tuple(key.path for key in KEYS if key.path in given and key.path not in read),
+        values=v, raw=dict(raw),
     )
 
 
+def _show(value) -> str:
+    return value if isinstance(value, str) else json.dumps(value)
+
+
 def serialize_config(cfg: RunConfig) -> dict:
-    """Emit a dict that validates back to an equivalent RunConfig."""
-    out = {
-        "mode": cfg.mode,
-        "spin": {"two_s": cfg.spin.two_s, "beta": cfg.spin.beta},
-        "lattice": {"b_matrix": cfg.table.b.tolist()},
-        "pair": list(cfg.pair),
-        "grid": {"t_max": float(cfg.grid.times[-1]), "n_points": len(cfg.grid)},
-        "measurement": cfg.measurement,
-        "quadrature": {"n_theta": cfg.quadrature[0], "n_phi": cfg.quadrature[1]},
-        "hierarchy": {"K": cfg.hierarchy_k, "closure": cfg.closure, "K_ext": cfg.k_ext},
-        "spin_sweep": list(cfg.spin_sweep),
-        "output": cfg.output,
-        "emit_couplings": cfg.emit_couplings,
-    }
-    if cfg.moments is not None:
-        out["moments"] = {"m2": cfg.moments.m2, "m4": cfg.moments.m4, "m6": cfg.moments.m6}
-    return out
+    """The resolved keys the mode reads: validates back to an equal config, no default applied."""
+    out: dict = {}
+    for key in KEYS:
+        if _reads(key, cfg.mode, cfg.measurement):
+            head, _, leaf = key.path.partition(".")
+            if leaf:
+                out.setdefault(head, {})[leaf] = cfg.values[key.path]
+            else:
+                out[head] = cfg.values[key.path]
+    return copy.deepcopy(out)
 
 
 def load_config(path) -> RunConfig:
@@ -276,7 +257,7 @@ def load_config(path) -> RunConfig:
 def _ratio_table_lines() -> list[str]:
     lines = ["quantum share Q/I at small times (1/(S+1)):",
              "  two_s      S        Q/I"]
-    for two_s in _RATIO_SWEEP:
+    for two_s in _KEY["spin_sweep"].default:
         s = two_s / 2.0
         lines.append(f"  {two_s:5d}  {s:5.1f}  {1.0 / (s + 1.0):.9f}")
     return lines
@@ -303,22 +284,31 @@ def _run_oracle_compare(cfg: RunConfig, out_dir: Path):
 
     ctx = ising.PairContext.from_table(spin, table, *cfg.pair)
     i_analytic = ising.mutual_info_ising(ctx, grid.times)
-    j_analytic, _ = ising.povm_split(ctx, grid.times)
-    quad = oracle.SphereQuadrature(*cfg.quadrature)
+    if cfg.measurement == "von_neumann":
+        j_analytic, _ = ising.von_neumann_split(ctx, grid.times)
+        measure = lambda rho: oracle.classical_info_von_neumann(rho)[0]  # noqa: E731
+        target, target_name = 0.5, "1/2"
+    else:
+        j_analytic, _ = ising.povm_split(ctx, grid.times)
+        quad = oracle.SphereQuadrature(*cfg.quadrature)
+        measure = lambda rho: oracle.povm_measure_and_classical_info(rho, spin, quad)  # noqa: E731
+        target, target_name = 1.0 / (spin.s + 1.0), "1/(S+1)"
 
     i_oracle = np.empty(len(grid))
     j_oracle = np.empty(len(grid))
     for k, t in enumerate(grid.times):
         rho = cluster.pair_density(t, cfg.pair, spin.beta)
         i_oracle[k] = oracle.mutual_info_numeric(rho)
-        j_oracle[k] = oracle.povm_measure_and_classical_info(rho, spin, quad)
+        j_oracle[k] = measure(rho)
 
-    # below this floor I and J are entropy roundoff (at t = 0 the pair is a
-    # product state), so their ratio means nothing and is written as nan
+    # Q/I is nan where the analytic I is at most 1e-8 beta^2: at t = 0, where
+    # it is exactly 0, and near its other zeros. There the ratio means nothing.
+    # The oracle's I is not 0 at t = 0: the pair carries the O(beta^4)
+    # information of the linearized state (1 + beta (S_xi + S_xj))/d^2, e.g.
+    # 4.5e-14 bits for spin 1/2 and 3.2e-13 for spin 1 at beta = 1e-3.
     floor = 1e-8 * spin.beta**2
     with np.errstate(invalid="ignore", divide="ignore"):
         q_ratio = np.where(i_analytic > floor, 1.0 - j_oracle / i_oracle, np.nan)
-    target = 1.0 / (spin.s + 1.0)
     rows = zip(grid.times, f_oracle, f_analytic, i_oracle, i_analytic,
                j_oracle, j_analytic, q_ratio, np.full(len(grid), target))
     header = ["t", "F_oracle", "F_analytic", "I_oracle", "I_analytic",
@@ -347,20 +337,17 @@ def _run_oracle_compare(cfg: RunConfig, out_dir: Path):
         f"max rel |I_oracle/I_analytic - 1| = {np.max(np.abs(i_oracle[imask] / i_analytic[imask] - 1.0)):.3e}",
         f"max rel |J_oracle/J_analytic - 1| = {np.max(np.abs(j_oracle[jmask] / j_analytic[jmask] - 1.0)):.3e}",
         f"high-T discrepancy order (beta -> beta/2 at t = {fmt(t_mid)}): {order:.2f}",
-        f"Q/I target 1/(S+1) = {fmt(target)}",
+        f"Q/I target {target_name} = {fmt(target)}",
     ]
     return [path], lines
 
 
 def _run_dipolar_memory(cfg: RunConfig, out_dir: Path):
     oracle._beta_guard(cfg.spin, 2, cfg.spin.beta)
-    spin, table = cfg.spin, cfg.table
+    spin, table, moments = cfg.spin, cfg.table, cfg.moments
     i, j = cfg.pair
-    sum_b2 = lattice_sum(table, i, 2)
-    moments = cfg.moments
-    if moments is None:
-        moments = memory.MomentSet.gaussian(memory.dipolar_m2(spin, sum_b2))
-    hier = memory.vk_from_moments(spin, sum_b2, moments, closure=cfg.closure)
+    # validation resolves the moments, so the lattice sum is not needed here
+    hier = memory.vk_from_moments(spin, 0.0, moments, closure=cfg.closure)
     if cfg.hierarchy_k < hier.K:
         hier = memory.Hierarchy(vk2=hier.vk2[: cfg.hierarchy_k + 1], closure=cfg.closure)
     sol = memory.solve_amplitudes(hier, cfg.grid, k_ext=cfg.k_ext)
@@ -482,10 +469,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.mode is not None and args.mode != cfg.mode:
-            raw = dict(cfg.raw)
-            raw["mode"] = args.mode
-            raw.setdefault("output", f"{args.mode}.csv")
-            cfg = validate_config(raw)
+            cfg = validate_config(dict(cfg.raw, mode=args.mode))
+        for path in cfg.unread_keys:
+            print(f"note: mode {cfg.mode} does not read key '{path}'", file=sys.stderr)
         results = run(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

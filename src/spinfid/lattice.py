@@ -60,6 +60,11 @@ class LatticeSpec:
         return self.site_positions.shape[0]
 
 
+def _asymmetric(m: np.ndarray) -> bool:
+    """m differs from its transpose by more than _SYM_TOL * max |m|; only b t is physical."""
+    return bool(np.max(np.abs(m - m.T)) > _SYM_TOL * np.max(np.abs(m)))
+
+
 @dataclass(frozen=True, eq=False)
 class CouplingTable:
     """Symmetric zero-diagonal matrices of b_ij and a_ij couplings."""
@@ -73,7 +78,7 @@ class CouplingTable:
             raise InvalidSpecError("b must be a square matrix over >= 2 sites")
         if not np.all(np.isfinite(b)):
             raise InvalidSpecError("b matrix must be finite")
-        if np.max(np.abs(b - b.T)) > _SYM_TOL:
+        if _asymmetric(b):
             raise InvalidSpecError("b matrix must be symmetric")
         if np.max(np.abs(np.diag(b))) > 0:
             raise InvalidSpecError("b matrix must have zero diagonal")
@@ -83,7 +88,7 @@ class CouplingTable:
         a = np.asarray(a, dtype=float)
         if not np.all(np.isfinite(a)):
             raise InvalidSpecError("a matrix must be finite")
-        if a.shape != b.shape or np.max(np.abs(a - a.T)) > _SYM_TOL:
+        if a.shape != b.shape or _asymmetric(a):
             raise InvalidSpecError("a matrix must be symmetric and match b in shape")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "a", a)

@@ -150,6 +150,30 @@ def test_table_validation():
             CouplingTable(b=b, a=np.array([[0.0, bad], [bad, 0.0]]))
 
 
+def random_table_b(scale):
+    rng = np.random.default_rng(11)
+    b = rng.uniform(-1.0, 1.0, (6, 6)) * scale
+    b = (b + b.T) / 2.0
+    np.fill_diagonal(b, 0.0)
+    return b
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e5])
+def test_table_symmetry_relative_to_coupling_scale(scale):
+    # two ulps of asymmetry, as geometry roundoff leaves, pass at any scale
+    b = random_table_b(scale)
+    b[0, 1] = np.nextafter(np.nextafter(b[1, 0], np.inf), np.inf)
+    table = CouplingTable(b=b)
+    CouplingTable(b=table.b, a=b * -0.5)
+    # a genuine asymmetry fails at any scale, in b and in a
+    bad = b.copy()
+    bad[0, 1] *= 1.0 + 1e-9
+    with pytest.raises(InvalidSpecError, match="b matrix must be symmetric"):
+        CouplingTable(b=bad)
+    with pytest.raises(InvalidSpecError, match="a matrix must be symmetric"):
+        CouplingTable(b=table.b, a=bad * -0.5)
+
+
 def test_lattice_from_config():
     table = lattice_from_config({"b_matrix": [[0.0, 0.5], [0.5, 0.0]]})
     assert table.b[0, 1] == 0.5
