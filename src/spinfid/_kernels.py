@@ -14,20 +14,12 @@ import math
 
 import numpy as np
 
-# cos_sum's uniform-grid paths: np.linspace drifts ~1 ulp of max|t| from
-# t_0 + k dt (its last point is set to t_max exactly), so allow a few
+# uniform grids for cos_sum's NUFFT: np.linspace drifts ~1 ulp of max|t|
+# from t_0 + k dt (its last point is set to t_max exactly), so allow a few
 _GRID_ULPS = 8
-# lines per block on both uniform-grid paths: the GEMM's complex
-# (sqrt n x block) phase tables, and the NUFFT's (2 _NUFFT_TAPS x block)
-# spreading weights and indices, stay below ~1 MB each
+# lines per NUFFT block: its (2 _NUFFT_TAPS x block) spreading weights and
+# indices stay below ~1 MB each
 _LINE_BLOCK = 4096
-# uniform grids of at least this many points take the NUFFT, shorter ones
-# the GEMM. The GEMM costs ~sqrt(n) complex multiply-adds per line and time
-# block, the NUFFT a fixed 2 _NUFFT_TAPS spread per line plus one FFT of
-# ~3n points: on 2 cores it wins from ~40 points at 2e3-2e5 lines, and
-# every grid below 128 points (the 41- and 61-point oracle grids among
-# them) keeps the GEMM's bits.
-_NUFFT_POINTS = 128
 # Gaussian gridding (Dutt & Rokhlin 1993; Greengard & Lee 2004) onto
 # m >= _NUFFT_OVERSAMPLE n points, the smallest 5-smooth such m, spacing
 # h = 2 pi / m, with the modes |k| <= K = floor(n/2). The kernel is
@@ -187,45 +179,27 @@ def _nufft_cos_sum(weights, freqs, times, step):
 def cos_sum(weights, freqs, times):
     """sum_p w_p cos(omega_p t) at each t.
 
-    A uniform grid t_k = t_0 + k dt of n >= _NUFFT_POINTS points takes a
-    type-1 nonuniform FFT (Dutt & Rokhlin, SIAM J. Sci. Comput. 14, 1368
-    (1993); Greengard & Lee, SIAM Rev. 46, 443 (2004)). Centred on
-    t_c = t_{n//2}, with k' = k - n//2, the sum is Re sum_p c_p e^{i k' x_p}
-    with c_p = w_p e^{i omega_p t_c} and x_p = omega_p dt reduced to
-    [-pi, pi]. Each line is spread onto an oversampled periodic grid by a
-    Gaussian of _NUFFT_TAPS points per side; one inverse FFT and a division
-    by the Gaussian's Fourier transform give every k'. Its error, derived
-    beside the constants, is <= 1e-14 sum |w| besides the eps |omega| max|t|
-    phase roundoff that every path shares: 100x below the tightest oracle
+    A uniform grid t_k = t_0 + k dt, of any size, takes a type-1
+    nonuniform FFT (Dutt & Rokhlin, SIAM J. Sci. Comput. 14, 1368 (1993);
+    Greengard & Lee, SIAM Rev. 46, 443 (2004)). Centred on t_c = t_{n//2},
+    with k' = k - n//2, the sum is Re sum_p c_p e^{i k' x_p} with
+    c_p = w_p e^{i omega_p t_c} and x_p = omega_p dt reduced to [-pi, pi].
+    Each line is spread onto an oversampled periodic grid by a Gaussian of
+    _NUFFT_TAPS points per side; one inverse FFT and a division by the
+    Gaussian's Fourier transform give every k'. Its error, derived beside
+    the constants, is <= 1e-14 sum |w| besides the eps |omega| max|t| phase
+    roundoff that every evaluation shares: 100x below the tightest oracle
     test tolerance (1e-12), so the oracle's FID stays an independent check.
     Memory is a few arrays of 2 _NUFFT_TAPS x _LINE_BLOCK entries and the
-    ~3n-point grid.
+    ~3n-point grid. The NUFFT reads t_k as t_0 + k dt, which ``_uniform_step``
+    bounds at _GRID_ULPS ulps of max|t| from the grid's own points.
 
-    Shorter uniform grids, k = j L + r with L = ceil(sqrt n), take the sum
-    as Re(A @ E) with A[j, p] = w_p exp(i omega_p T_j) at the coarse times
-    T_j = t_{jL} and E[p, r] = exp(i omega_p r dt): one complex GEMM per
-    block of _LINE_BLOCK lines and ~2 sqrt(n) exponentials per line instead
-    of n cosines; the last row's entries past t_{n-1} are dropped. It is
-    exact up to roundoff.
-
-    Both paths read t_k as t_0 + k dt, which ``_uniform_step`` bounds at
-    _GRID_ULPS ulps of max|t| from the grid's own points. Other grids take
-    the direct sum, chunked to 4e6 entries.
+    Other grids take the direct sum, chunked to 4e6 entries.
     """
     times = np.asarray(times, dtype=float)
     step = _uniform_step(times)
-    if step is not None and times.size >= _NUFFT_POINTS:
-        return _nufft_cos_sum(weights, freqs, times, step)
     if step is not None:
-        n = times.size
-        fine = step * np.arange(math.ceil(math.sqrt(n)))
-        coarse = times[::fine.size]
-        out = np.zeros((coarse.size, fine.size))
-        for lo in range(0, freqs.size, _LINE_BLOCK):
-            f = freqs[lo:lo + _LINE_BLOCK]
-            a = weights[lo:lo + _LINE_BLOCK] * np.exp(1j * np.multiply.outer(coarse, f))
-            out += (a @ np.exp(1j * np.multiply.outer(f, fine))).real
-        return out.ravel()[:n]
+        return _nufft_cos_sum(weights, freqs, times, step)
     out = np.empty_like(times)
     chunk = max(1, int(4e6) // max(1, freqs.size))
     for lo in range(0, times.size, chunk):

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -200,16 +200,17 @@ def validate_config(raw) -> RunConfig:
         errors.append(f"key 'pair': indices {pair} invalid for {table.n_sites} sites")
     if v["measurement"] == "von_neumann" and spin is not None and spin.two_s != 1:
         errors.append("key 'measurement': von_neumann split requires spin 1/2")
-    moments = None
     if isinstance(raw.get("moments"), dict):
         errors.extend(f"missing required key '{p}'" for p in _MOMENTS if p not in given)
-        if None not in (given_moments := [v[p] for p in _MOMENTS]):
-            moments = _build(errors, "moments", memory.MomentSet, *given_moments)
     if errors:
         raise ConfigError("invalid config:\n" + "\n".join(f"  - {e}" for e in errors))
 
     read = [key.path for key in KEYS if _reads(key, v["mode"], v["measurement"])]
-    if moments is None and _MOMENTS[0] in read:
+    moments = None
+    # built past the config errors, so that non-physical moments are a guard error
+    if None not in (given_moments := [v[p] for p in _MOMENTS]):
+        moments = memory.MomentSet(*given_moments)
+    elif _MOMENTS[0] in read:
         moments = memory.MomentSet.gaussian(
             memory.dipolar_m2(spin, lattice_sum(table, pair[0], 2)))
         v.update(zip(_MOMENTS, (moments.m2, moments.m4, moments.m6)))
@@ -323,10 +324,7 @@ def _run_oracle_compare(cfg: RunConfig, out_dir: Path):
     for b in (spin.beta, spin.beta / 2.0):
         rho = cluster.pair_density(t_mid, cfg.pair, b)
         ex = oracle.mutual_info_numeric(rho)
-        an = ising.mutual_info_ising(
-            ising.PairContext(spin=SpinParams(spin.two_s, b), b_ij=ctx.b_ij,
-                              other_couplings_i=ctx.other_couplings_i,
-                              other_couplings_j=ctx.other_couplings_j), t_mid)
+        an = ising.mutual_info_ising(replace(ctx, spin=SpinParams(spin.two_s, b)), t_mid)
         disc.append(abs(ex / an - 1.0) if an > 0 else np.nan)
     order = math.log2(disc[0] / disc[1]) if disc[1] > 0 else float("nan")
 

@@ -361,6 +361,24 @@ def test_main_chain_guard_exit_3(tmp_path, capsys):
     assert "guard error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("moments", [
+    {"m2": 1.0, "m4": 0.5, "m6": 1.0},  # m4 < m2^2
+    {"m2": 0.0, "m4": 0.0, "m6": 0.0},
+])
+def test_main_non_physical_moments_exit_3(tmp_path, capsys, moments):
+    # given moments exit as moments derived from the lattice do
+    path = write_cfg(tmp_path, minimal(mode="dipolar_memory", moments=moments))
+    assert main(["run", path, "--out", str(tmp_path)]) == 3
+    assert "guard error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_main_partial_moments_exit_2(tmp_path, capsys):
+    path = write_cfg(tmp_path, minimal(mode="dipolar_memory", moments={"m2": 1.0, "m4": 3.0}))
+    assert main(["run", path, "--out", str(tmp_path)]) == 2
+    assert "missing required key 'moments.m6'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode", ["ising_analytic", "dipolar_memory"])
 def test_main_huge_beta_exit_3(tmp_path, capsys, mode):
     # the pair guard of the oracle modes: beta * S * 2 >= 1 breaks positivity

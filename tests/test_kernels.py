@@ -82,12 +82,23 @@ def assert_matches_brute(weights, freqs, times):
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * max(np.sum(np.abs(weights)), 1.0))
 
 
+@pytest.fixture
+def nufft_calls(monkeypatch):
+    """Counts cos_sum's calls of its NUFFT path."""
+    calls = []
+    nufft = K._nufft_cos_sum
+    monkeypatch.setattr(K, "_nufft_cos_sum", lambda *args: calls.append(1) or nufft(*args))
+    return calls
+
+
 @pytest.mark.parametrize("n", [2, 3, 41, 4001])
 @pytest.mark.parametrize("t0", [-3.7, 0.0, 2.5])
-def test_cos_sum_uniform_grid(n, t0):
+def test_cos_sum_uniform_grid(n, t0, nufft_calls):
+    # every uniform grid takes the NUFFT, whatever its size
     times = t0 + 0.013 * np.arange(n)
     assert K._uniform_step(times) is not None
     assert_matches_brute(*lines(300, times), times)
+    assert nufft_calls == [1]
 
 
 @pytest.mark.parametrize("t_max, n", [(20.0, 4001), (7.3, 41), (1e-3, 3)])
@@ -107,14 +118,15 @@ def test_cos_sum_line_counts(n_lines):
         assert np.all(K.cos_sum(weights, freqs, times) == 0.0)
 
 
-def test_cos_sum_non_uniform_grids():
+def test_cos_sum_non_uniform_grids(nufft_calls):
     geometric = np.geomspace(1e-3, 10.0, 500)
     moved = np.linspace(0.0, 10.0, 501)
     moved[250] += 1e-9
-    for times in (geometric, moved):
+    for times in (geometric, moved, np.array([0.7])):
         assert K._uniform_step(times) is None
         # on the moved grid the uniform path would be off by ~|omega| 1e-9
         assert_matches_brute(*lines(2000, times, seed=3), times)
+    assert not nufft_calls
 
 
 def longdouble_cos_sum(weights, freqs, times):
@@ -135,6 +147,12 @@ NUFFT_GRIDS = {
     "even-4000": -2.0 + 0.001 * np.arange(4000),
     "decreasing": 2.0 - 0.0137 * np.arange(301),
     "constant": np.full(200, 1.3),
+    # short grids: the oracle's 41- and 61-point linspace grids, and the
+    # fewest points a uniform grid can have
+    "linspace-61": TimeGrid.linspace(6.0, 61).times,
+    "linspace-41": TimeGrid.linspace(5.3, 41).times,
+    "three": -1.2 + 0.37 * np.arange(3),
+    "two": 0.4 + 0.9 * np.arange(2),
 }
 
 
@@ -145,7 +163,7 @@ def test_cos_sum_nufft_matches_longdouble(grid, band):
     # sum |w| and the bound checks the NUFFT itself; aliased: |omega dt| up
     # to 3 pi, folded onto [-pi, pi] before spreading
     times = NUFFT_GRIDS[grid]
-    assert times.size >= K._NUFFT_POINTS and K._uniform_step(times) is not None
+    assert K._uniform_step(times) is not None
     rng = np.random.default_rng(90)
     dt = abs(times[1] - times[0])
     top = 10.0 / np.max(np.abs(times)) if band == "low" else 3.0 * np.pi / max(dt, 0.01)
@@ -153,26 +171,6 @@ def test_cos_sum_nufft_matches_longdouble(grid, band):
     weights, freqs = rng.uniform(-1.0, 1.0, count), rng.uniform(-top, top, count)
     err = np.max(np.abs(K.cos_sum(weights, freqs, times) - longdouble_cos_sum(weights, freqs, times)))
     assert err <= nufft_bound(weights, freqs, times)
-
-
-def test_cos_sum_paths_meet_at_the_threshold(monkeypatch):
-    # n = _NUFFT_POINTS - 1 takes the GEMM, n = _NUFFT_POINTS the NUFFT; on
-    # their common times both meet the bound against the long-double sum
-    calls = []
-    nufft = K._nufft_cos_sum
-    monkeypatch.setattr(K, "_nufft_cos_sum", lambda *args: calls.append(1) or nufft(*args))
-    times = -1.1 + 0.05 * np.arange(K._NUFFT_POINTS)
-    rng = np.random.default_rng(91)
-    weights, freqs = rng.uniform(-1.0, 1.0, 600), rng.uniform(-60.0, 60.0, 600)
-    ref = longdouble_cos_sum(weights, freqs, times)
-    bound = nufft_bound(weights, freqs, times)
-    gemm = K.cos_sum(weights, freqs, times[:-1])
-    assert not calls
-    fast = K.cos_sum(weights, freqs, times)
-    assert calls == [1]
-    assert np.max(np.abs(gemm - ref[:-1])) <= bound
-    assert np.max(np.abs(fast - ref)) <= bound
-    assert np.max(np.abs(fast[:-1] - gemm)) <= bound
 
 
 def test_cos_sum_memory_bound():

@@ -410,16 +410,15 @@ def sector_case(request):
     return EvolvedCluster.build(spin, table, "dipolar"), w, v, v.T @ total_sx(spin, n) @ v
 
 
-# uniform grids of >= K._NUFFT_POINTS (128) points take cos_sum's NUFFT,
-# shorter ones its GEMM; "linspace" (401 points) and "offset" (300) take the
-# NUFFT as well
+# every grid here is uniform, so cos_sum takes its NUFFT on each, from the
+# 97 points of "negoffset-short" to the 4001 of "linspace4001-nufft"
 @pytest.mark.parametrize("grid", [TimeGrid.linspace(20.0, 401),
                                   TimeGrid(1.7 + 0.011 * np.arange(300)),
                                   TimeGrid.linspace(30.0, 4001),
                                   TimeGrid(-2.3 + 0.013 * np.arange(500)),
                                   TimeGrid(-2.3 + 0.05 * np.arange(97))],
                          ids=["linspace", "offset", "linspace4001-nufft",
-                              "negoffset-nufft", "negoffset-gemm"])
+                              "negoffset-nufft", "negoffset-short"])
 def test_sector_fid_matches_dense_eigh(sector_case, grid):
     # reference: sum over every pair of eigenstates, sum_xy w2[x, y]
     # cos((E_x - E_y) t) = Re p^T w2 p* with p = exp(-i E t), time by time,
