@@ -85,8 +85,11 @@ KEYS = (
     Key("measurement", str,
         lambda v: "von_neumann" if v["mode"] == "ising_analytic" and v["spin.two_s"] == 1 else "povm",
         ("ising_analytic", "ising_oracle_compare"), _one_of(("povm", "von_neumann"))),
-    Key("quadrature.n_theta", int, 64, _ON_POVM, _at_least(1)),
-    Key("quadrature.n_phi", int, 128, _ON_POVM, _at_least(1)),
+    # absent: oracle.SphereQuadrature.for_spin's rule, for the run's spin or,
+    # in povm_validate, for each spin of the sweep; n_phi follows n_theta
+    Key("quadrature.n_theta", int, None, _ON_POVM, _at_least(1)),
+    Key("quadrature.n_phi", int, lambda v: v["quadrature.n_theta"] and 2 * v["quadrature.n_theta"],
+        _ON_POVM, _at_least(1)),
     Key("hierarchy.K", int, 2, _CHAIN, _one_of((1, 2))),  # moment formulas stop at v_2^2
     Key("hierarchy.closure", str, "gaussian_tail", _CHAIN, _one_of(memory.CLOSURES)),
     Key("hierarchy.K_ext", int, 64, _CHAIN, _at_least(2)),
@@ -102,6 +105,10 @@ KEYS = (
 _KEY = {key.path: key for key in KEYS}
 _SECTIONS = {path.partition(".")[0] for path in _KEY if "." in path}
 _MOMENTS = ("moments.m2", "moments.m4", "moments.m6")
+_QUADRATURE = ("quadrature.n_theta", "quadrature.n_phi")
+# how povm_validate states orders that its sweep takes from the per-spin rule
+_PER_SPIN = {"quadrature.n_theta": f"{oracle.QUADRATURE_RULE} for each spin",
+             "quadrature.n_phi": "2 n_theta"}
 
 
 def _reads(key: Key, mode: str, measurement: str) -> bool:
@@ -118,7 +125,7 @@ class RunConfig:
     pair: tuple[int, int]
     grid: TimeGrid
     measurement: str
-    quadrature: tuple[int, int]
+    quadrature: tuple[int | None, int | None]  # None: by the per-spin rule
     hierarchy_k: int
     closure: str
     k_ext: int
@@ -202,10 +209,14 @@ def validate_config(raw) -> RunConfig:
         errors.append("key 'measurement': von_neumann split requires spin 1/2")
     if isinstance(raw.get("moments"), dict):
         errors.extend(f"missing required key '{p}'" for p in _MOMENTS if p not in given)
+    read = [key.path for key in KEYS if _reads(key, v["mode"], v["measurement"])]
+    orders = [v[p] for p in _QUADRATURE]
+    named = [p for p in _QUADRATURE if p in given]
+    if named and None not in orders and _QUADRATURE[0] in read:
+        _build(errors, "', '".join(named), oracle.SphereQuadrature, *orders)
     if errors:
         raise ConfigError("invalid config:\n" + "\n".join(f"  - {e}" for e in errors))
 
-    read = [key.path for key in KEYS if _reads(key, v["mode"], v["measurement"])]
     moments = None
     # built past the config errors, so that non-physical moments are a guard error
     if None not in (given_moments := [v[p] for p in _MOMENTS]):
@@ -214,12 +225,16 @@ def validate_config(raw) -> RunConfig:
         moments = memory.MomentSet.gaussian(
             memory.dipolar_m2(spin, lattice_sum(table, pair[0], 2)))
         v.update(zip(_MOMENTS, (moments.m2, moments.m4, moments.m6)))
+    # likewise past the config errors, as the rule raises guard errors
+    if _QUADRATURE[0] in read and v["mode"] != "povm_validate":
+        quad = _quadrature(orders, spin)
+        v.update(zip(_QUADRATURE, (quad.n_theta, quad.n_phi)))
     # a switch left out is off, which needs no note
-    applied = [f"{p} = {_show(v[p])}" for p in read
+    applied = [f"{p} = {_PER_SPIN[p] if v[p] is None else _show(v[p])}" for p in read
                if p not in given and not isinstance(v[p], bool)]
     return RunConfig(
         mode=v["mode"], spin=spin, table=table, pair=pair, grid=grid,
-        measurement=v["measurement"], quadrature=(v["quadrature.n_theta"], v["quadrature.n_phi"]),
+        measurement=v["measurement"], quadrature=tuple(v[p] for p in _QUADRATURE),
         hierarchy_k=v["hierarchy.K"], closure=v["hierarchy.closure"], k_ext=v["hierarchy.K_ext"],
         moments=moments, spin_sweep=tuple(v["spin_sweep"]), output=v["output"],
         emit_couplings=v["emit_couplings"], applied_defaults=tuple(applied),
@@ -232,11 +247,23 @@ def _show(value) -> str:
     return value if isinstance(value, str) else json.dumps(value)
 
 
+def _quadrature(orders, spin: SpinParams) -> oracle.SphereQuadrature:
+    """The POVM quadrature for one spin: the given (n_theta, n_phi), each None
+    taken from the per-spin rule."""
+    n_theta, n_phi = orders
+    if n_theta is None:
+        rule = oracle.SphereQuadrature.for_spin(spin)
+        n_theta, n_phi = rule.n_theta, n_phi or rule.n_phi
+    return oracle.SphereQuadrature(n_theta, n_phi)
+
+
 def serialize_config(cfg: RunConfig) -> dict:
-    """The resolved keys the mode reads: validates back to an equal config, no default applied."""
+    """The resolved keys the mode reads: validates back to an equal config, no
+    default applied. Orders that povm_validate takes per spin from the rule
+    stay absent, so they resolve the same way again."""
     out: dict = {}
     for key in KEYS:
-        if _reads(key, cfg.mode, cfg.measurement):
+        if _reads(key, cfg.mode, cfg.measurement) and cfg.values[key.path] is not None:
             head, _, leaf = key.path.partition(".")
             if leaf:
                 out.setdefault(head, {})[leaf] = cfg.values[key.path]
@@ -337,6 +364,8 @@ def _run_oracle_compare(cfg: RunConfig, out_dir: Path):
         f"high-T discrepancy order (beta -> beta/2 at t = {fmt(t_mid)}): {order:.2f}",
         f"Q/I target {target_name} = {fmt(target)}",
     ]
+    if cfg.measurement == "povm":
+        lines.append(f"POVM quadrature {quad.n_theta} x {quad.n_phi}")
     return [path], lines
 
 
@@ -367,9 +396,10 @@ def _run_dipolar_memory(cfg: RunConfig, out_dir: Path):
     return [path], lines
 
 
-def _povm_point(two_s: int, beta: float, b: float, quad) -> tuple[float, float]:
+def _povm_point(two_s: int, beta: float, b: float, orders) -> tuple[float, float]:
     """Richardson small-time limit of Q/I from an oracle-evolved pair."""
     spin = SpinParams(two_s=two_s, beta=beta)
+    quad = _quadrature(orders, spin)
     table = CouplingTable(b=np.array([[0.0, b], [b, 0.0]]))
     cluster = oracle.EvolvedCluster.build(spin, table, "ising")
     vals = []
@@ -383,18 +413,22 @@ def _povm_point(two_s: int, beta: float, b: float, quad) -> tuple[float, float]:
 
 
 def _run_povm_validate(cfg: RunConfig, out_dir: Path):
-    quad = oracle.SphereQuadrature(*cfg.quadrature)
     b = float(cfg.table.b[cfg.pair])
     workers = _thread_count()
+    point = lambda ts: _povm_point(ts, cfg.spin.beta, b, cfg.quadrature)  # noqa: E731
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda ts: _povm_point(ts, cfg.spin.beta, b, quad), cfg.spin_sweep))
+            results = list(pool.map(point, cfg.spin_sweep))
     else:
-        results = [_povm_point(ts, cfg.spin.beta, b, quad) for ts in cfg.spin_sweep]
+        results = [point(ts) for ts in cfg.spin_sweep]
 
+    n_theta, n_phi = cfg.quadrature
+    if n_theta is None:
+        quad = f"per spin: n_theta = {oracle.QUADRATURE_RULE}, n_phi = {n_phi or '2 n_theta'}"
+    else:
+        quad = f"{n_theta} x {n_phi}"
     rows = []
-    lines = [f"quadrature {cfg.quadrature[0]} x {cfg.quadrature[1]}, pair coupling b = {fmt(b)}",
+    lines = [f"quadrature {quad}, pair coupling b = {fmt(b)}",
              "  two_s    Q/I (oracle)    Q/I target      |err|    completeness"]
     for two_s, (ratio, dev) in zip(cfg.spin_sweep, results):
         target = 1.0 / (two_s / 2.0 + 1.0)

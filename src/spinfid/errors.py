@@ -57,6 +57,10 @@ class QuadratureTooCoarseError(GuardError):
     """Sphere quadrature fails the coherent-state completeness check."""
 
 
+class QuadratureTooLargeError(GuardError):
+    """The per-spin sphere quadrature rule needs more nodes than the cap."""
+
+
 class NonPhysicalMomentsError(GuardError):
     """Spectral moments violate positivity inequalities."""
 

@@ -20,7 +20,9 @@ Phys. 2, 003, 2017). An Ising H is already diagonal in the product basis,
 where D(t)[x, y] = S_x[x, y] exp(-i (E_x - E_y) t), and no ``eigh`` runs.
 
 The coherent-state POVM integrates the entropy of one conditional d x d
-state per quadrature node (8192 at the 64 x 128 default); the orthogonal
+state per quadrature node. ``SphereQuadrature.for_spin`` sizes the rule by
+the spin and its polarization: 200 nodes for spin 1/2 and 288 for spin 1
+at beta = 1e-3, against 8192 at a fixed 64 x 128. The orthogonal
 measurement takes two per axis. ``_kernels.scs_overlaps`` forms the
 states as one GEMM per chunk of nodes,
 and ``_kernels.entropy_norm_batch`` takes their entropies from closed-form
@@ -51,6 +53,7 @@ from .errors import (
     InvalidSpecError,
     NonPhysicalStateError,
     QuadratureTooCoarseError,
+    QuadratureTooLargeError,
     UnsupportedSpinError,
 )
 from .lattice import CouplingTable
@@ -72,6 +75,38 @@ _HALF = SpinParams(1)
 # largest max-norm deviation of the coherent-state resolution of identity
 # that the POVM accepts from its quadrature
 _COMPLETENESS_TOL = 1e-10
+
+# most entries that a sphere quadrature may hold in its node arrays
+# (n_theta * n_phi) and in the n_theta x n_theta companion matrix that
+# numpy's leggauss diagonalizes: 8x the nodes of 64 x 128, a few MB
+QUADRATURE_CAP = 2**16
+
+# per-spin quadrature rule of SphereQuadrature.for_spin: n_theta = d + c
+# with c = ceil(k sqrt(d / (1 - p))), d = 2S + 1, p = 2S beta, and
+# n_phi = 2 n_theta; k is a measured fit. The smallest c at which
+# |J_c - J_ref| stays within 3e-15 bits at every larger c was, worst over
+# the two-site Ising pair and 3 random circulant Ising clusters and 1
+# random dipolar cluster of dimension <= 600 (the pair alone for 2S >= 8),
+# 4-5 random times in [0.05, 6] each; J_ref is at 64 x 128, or at
+# (d + 46) x 2(d + 46) for 2S >= 8:
+#
+#   2S \ p   3e-3  0.1  0.3  0.5  0.7  0.9  0.95  0.98
+#   1         1     2    4    6    9    16   22    36
+#   2         1     4    6    8    10   13   19    21
+#   3         1     5    6    10   12   12   20    24
+#   4         0     4    9    11   13   16   15    17
+#   5         0     5    8    12   14   17   18    18
+#   6         0     6    10   12   15   18   17    23
+#   8         0     5    9    14   14   19   20 (p = 0.97)
+#   10        0     5    11   13   17   19   22 (p = 0.97)
+#   14        0     -    11   14   17   19   -
+#
+# The worst state is mostly the two-site pair. No fixed offset fits: near
+# the guard c grows as 1/sqrt(1 - p) (c sqrt(1 - p) = 5.1 for spin 1/2 at
+# p = 0.9-0.98), and at p = 0.3-0.7 it grows with S. Every entry is at
+# most 3.6 sqrt(d / (1 - p)), so k = 5 puts each c at least 39% above it.
+_RULE_K = 5.0
+QUADRATURE_RULE = f"2S + 1 + ceil({_RULE_K:g} sqrt((2S + 1) / (1 - 2S beta)))"
 
 
 @dataclass(frozen=True, eq=False)
@@ -496,18 +531,48 @@ class SphereQuadrature:
     """Gauss-Legendre (in cos theta) x uniform-phi product quadrature.
 
     Exact for trigonometric polynomials of degree < 2 n_theta in cos
-    theta and below n_phi in the azimuth, which covers coherent-state
-    projectors up to S ~ 15 at the 64 x 128 default. Nodes and
-    coherent-state amplitudes are cached per (n_theta, n_phi, 2S) at module
-    level, as read-only arrays, so threads can share one quadrature.
+    theta and below n_phi in the azimuth, so it resolves the identity with
+    coherent-state projectors (degree 2S) once n_theta > S and
+    n_phi >= 2S + 1; ``for_spin`` always meets both. Orders are capped by
+    QUADRATURE_CAP. Nodes and coherent-state amplitudes are cached per
+    (n_theta, n_phi, 2S) at module level, as read-only arrays, so threads
+    can share one quadrature.
     """
 
-    n_theta: int = 64
-    n_phi: int = 128
+    n_theta: int
+    n_phi: int
 
     def __post_init__(self):
         if self.n_theta < 1 or self.n_phi < 1:
             raise InvalidSpecError("quadrature orders must be positive")
+        if self.n_theta * max(self.n_theta, self.n_phi) > QUADRATURE_CAP:
+            raise InvalidSpecError(
+                f"quadrature {self.n_theta} x {self.n_phi} exceeds the cap of {QUADRATURE_CAP} "
+                "entries in n_theta * max(n_theta, n_phi)")
+
+    @classmethod
+    def for_spin(cls, spin: SpinParams) -> "SphereQuadrature":
+        """The order that scores the POVM on a pair state (1 + beta D)/d^2 at
+        beta = spin.beta to roundoff: the QUADRATURE_RULE.
+
+        It is sized by d = 2S + 1 and by p = 2S beta, the product that
+        ``_beta_guard`` bounds. p bounds the polarization beta ||D(t)|| of
+        the oracle's pair states. A coherent-state projector has angular
+        degree 2S (Agarwal, Phys. Rev. A 24, 2889 (1981)), and the
+        conditional entropy is analytic on the sphere, so the product rule
+        converges geometrically (Atkinson, J. Austral. Math. Soc. B 23, 332
+        (1982)), the more slowly the closer p is to 1. A rule over
+        QUADRATURE_CAP (p within a few 1e-3 of the guard for 2S <= 6)
+        raises QuadratureTooLargeError; no coarser order stands in.
+        """
+        _beta_guard(spin, 2, spin.beta)
+        d = spin.d
+        n_theta = d + math.ceil(_RULE_K * math.sqrt(d / (1.0 - spin.two_s * spin.beta)))
+        if 2 * n_theta**2 > QUADRATURE_CAP:
+            raise QuadratureTooLargeError(
+                f"the quadrature rule {n_theta} x {2 * n_theta} for 2S = {spin.two_s}, "
+                f"beta = {spin.beta:.6g} exceeds the cap of {QUADRATURE_CAP} nodes")
+        return cls(n_theta, 2 * n_theta)
 
 
 def scs_completeness_check(spin: SpinParams, quadrature: SphereQuadrature) -> float:

@@ -42,7 +42,7 @@ def test_minimal_config_fills_defaults():
     cfg = validate_config(minimal())
     assert cfg.spin.two_s == 1
     assert cfg.spin.beta == 1e-3
-    assert cfg.quadrature == (64, 128)
+    assert cfg.quadrature == (None, None)  # unread here: left to the per-spin rule
     assert cfg.k_ext == 64
     assert cfg.measurement == "von_neumann"
     assert cfg.output == "ising_analytic.csv"
@@ -125,6 +125,57 @@ def test_applied_defaults_name_only_keys_the_mode_reads(mode, unread):
 
 def test_oracle_compare_defaults_to_povm():
     assert validate_config(minimal(mode="ising_oracle_compare")).measurement == "povm"
+
+
+def test_quadrature_defaults_to_the_per_spin_rule():
+    cfg = validate_config(minimal(mode="ising_oracle_compare", spin={"two_s": 2, "beta": 1e-3}))
+    rule = oracle.SphereQuadrature.for_spin(cfg.spin)
+    assert cfg.quadrature == (rule.n_theta, rule.n_phi) == (12, 24)
+    assert "quadrature.n_theta = 12" in cfg.applied_defaults
+    # povm_validate resolves the rule for each spin of its sweep
+    sweep = validate_config(minimal(mode="povm_validate"))
+    assert sweep.quadrature == (None, None)
+    assert f"quadrature.n_theta = {oracle.QUADRATURE_RULE} for each spin" in sweep.applied_defaults
+    assert "quadrature.n_phi = 2 n_theta" in sweep.applied_defaults
+
+
+@pytest.mark.parametrize("mode", ["ising_oracle_compare", "povm_validate"])
+def test_explicit_n_theta_takes_n_phi_twice_it(mode):
+    for n_theta in (7, 64):
+        cfg = validate_config(minimal(mode=mode, quadrature={"n_theta": n_theta}))
+        assert cfg.quadrature == (n_theta, 2 * n_theta)
+        assert f"quadrature.n_phi = {2 * n_theta}" in cfg.applied_defaults
+    cfg = validate_config(minimal(mode=mode, quadrature={"n_theta": 9, "n_phi": 31}))
+    assert cfg.quadrature == (9, 31)
+    assert not [line for line in cfg.applied_defaults if line.startswith("quadrature")]
+    # n_phi alone leaves n_theta to the rule
+    cfg = validate_config(minimal(mode=mode, quadrature={"n_phi": 31}))
+    assert cfg.quadrature == ((10, 31) if mode == "ising_oracle_compare" else (None, 31))
+
+
+@pytest.mark.parametrize("quadrature, paths", [
+    ({"n_theta": 100000}, "'quadrature.n_theta'"),
+    ({"n_theta": 300, "n_phi": 200}, "'quadrature.n_theta', 'quadrature.n_phi'"),
+    ({"n_theta": 70000, "n_phi": 1}, "'quadrature.n_theta', 'quadrature.n_phi'"),
+])
+def test_main_quadrature_over_the_cap_exit_2(tmp_path, capsys, quadrature, paths):
+    # validation rejects the orders before leggauss builds its n_theta^2 matrix
+    for mode in ("ising_oracle_compare", "povm_validate"):
+        path = write_cfg(tmp_path, minimal(mode=mode, quadrature=quadrature))
+        assert main(["run", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"key {paths}:" in err and str(oracle.QUADRATURE_CAP) in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("mode", ["ising_oracle_compare", "povm_validate"])
+def test_main_rule_over_the_cap_exit_3(tmp_path, capsys, mode):
+    # inside the beta guard, but too close to it for the capped rule
+    path = write_cfg(tmp_path, minimal(mode=mode, spin={"two_s": 1, "beta": 1.0 - 1e-5},
+                                       spin_sweep=[1], grid={"t_max": 1.0, "n_points": 3}))
+    assert main(["run", path, "--out", str(tmp_path)]) == 3
+    assert "guard error: the quadrature rule" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_bad_json_text_rejected():
@@ -216,6 +267,8 @@ def test_run_oracle_compare_mode(tmp_path):
     assert header[:3] == ["t", "F_oracle", "F_analytic"]
     assert np.max(np.abs(data[:, 1] - data[:, 2])) < 1e-10
     assert any("max |F_oracle - F_analytic|" in line for line in results["lines"])
+    # the order that ran, from the per-spin rule for spin 1/2 at beta = 1e-3
+    assert results["lines"][-1] == "POVM quadrature 10 x 20"
     # Q/I is nan where I_analytic is below the 1e-8 beta^2 floor (only the
     # product state at t = 0 here) and 1 - J/I from the columns elsewhere
     col = dict(zip(header, data.T))
@@ -260,10 +313,27 @@ def test_run_dipolar_memory_mode(tmp_path):
 
 def test_run_povm_validate_mode(tmp_path):
     cfg = validate_config(minimal(mode="povm_validate", spin_sweep=[1, 2]))
-    run(cfg, tmp_path)
+    results = run(cfg, tmp_path)
     header, data = read_csv(tmp_path / "povm_validate.csv")
     assert header[0] == "two_s"
     np.testing.assert_allclose(data[:, 1], data[:, 2], atol=5e-3)
+    assert results["lines"][0].startswith(f"quadrature per spin: n_theta = {oracle.QUADRATURE_RULE}, "
+                                          "n_phi = 2 n_theta, pair coupling")
+
+
+def test_shipped_povm_validate_keeps_its_quadrature(tmp_path):
+    # the shipped sweep gives 64 x 128: n_theta alone gives the same n_phi
+    # and the same CSV bytes, and the per-spin rule does not stand in
+    shipped = json.loads((Path(__file__).resolve().parents[1] / "configs" /
+                          "povm_validate.json").read_text())
+    assert shipped["quadrature"] == {"n_theta": 64, "n_phi": 128}
+    csvs, heads = [], []
+    for name, quadrature in (("shipped", shipped["quadrature"]), ("theta", {"n_theta": 64})):
+        results = run(validate_config(dict(shipped, quadrature=quadrature)), tmp_path / name)
+        csvs.append((tmp_path / name / "povm_validate.csv").read_bytes())
+        heads.append(results["lines"][0])
+    assert csvs[0] == csvs[1]
+    assert heads[0] == heads[1] == "quadrature 64 x 128, pair coupling b = 1"
 
 
 def test_summary_deterministic(tmp_path):

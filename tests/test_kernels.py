@@ -353,7 +353,7 @@ def test_entropy_rows_do_not_depend_on_their_batch(d):
 def test_povm_information_matches_eigvalsh_reference(two_s):
     spin = SpinParams(two_s=two_s, beta=1e-3)
     d = spin.d
-    quad = SphereQuadrature()
+    quad = SphereQuadrature(64, 128)
     table = CouplingTable(b=np.array([[0.0, 1.0], [1.0, 0.0]]))
     rho = EvolvedCluster.build(spin, table, "ising").pair_density(0.7, (0, 1), spin.beta)
     theta, phi, weights = oracle._sphere_nodes(quad.n_theta, quad.n_phi)

@@ -297,7 +297,7 @@ def test_dipolar_pair_state_reproduces_share_ratios(two_s):
     i_exact = float(mutual_info_numeric(rho))
     i_slope = mutual_info_dipolar(spin, 1.0, m2, fdot, spin.beta)
     assert i_exact == pytest.approx(i_slope, rel=1e-3)
-    quad = SphereQuadrature()
+    quad = SphereQuadrature(64, 128)
     j = povm_measure_and_classical_info(rho, spin, quad)
     assert 1.0 - j / i_exact == pytest.approx(1.0 / (spin.s + 1.0), abs=1e-4)
     if two_s == 1:

@@ -18,6 +18,7 @@ from spinfid.errors import (
     InvalidSpecError,
     NonPhysicalStateError,
     QuadratureTooCoarseError,
+    QuadratureTooLargeError,
 )
 from spinfid.ising import (
     PairContext,
@@ -58,7 +59,7 @@ def triangle(b12=1.0, b13=1.0, b23=1.0):
 
 @pytest.fixture(scope="module")
 def quad():
-    return SphereQuadrature()
+    return SphereQuadrature(64, 128)
 
 
 def kron_sites(op, n):
@@ -761,6 +762,60 @@ def test_povm_quadrature_guard():
     rho = DensityMatrix(entries=np.eye(25) / 25)
     with pytest.raises(QuadratureTooCoarseError):
         povm_measure_and_classical_info(rho, spin, coarse)
+
+
+def rule_clusters(two_s, seed):
+    """The two-site pair, the rule's worst case, then three random circulant
+    Ising clusters and one random dipolar cluster of dimension <= 512."""
+    rng = np.random.default_rng(seed)
+    n_max = max(3, int(math.log(512) / math.log(two_s + 1)))
+    *ising, dipolar = rng.integers(3, n_max + 1, 4)
+    return ([("ising", PAIR)]
+            + [("ising", circulant_couplings(n, seed + k)) for k, n in enumerate(ising)]
+            + [("dipolar", random_couplings(dipolar, seed))])
+
+
+@pytest.mark.parametrize("two_s", [1, 2, 3, 4, 5, 6])
+def test_povm_rule_matches_64x128(two_s):
+    # the per-spin rule scores J as 64 x 128 does, at beta = 1e-3 and at half
+    # and 0.9 of the beta guard, where it needs the most nodes
+    ref = SphereQuadrature(64, 128)
+    rng = np.random.default_rng(two_s)
+    for p in [two_s * 1e-3, 0.5, 0.9] + ([0.95] if two_s == 1 else []):
+        spin = SpinParams(two_s, beta=p / two_s)
+        rule = SphereQuadrature.for_spin(spin)
+        assert rule.n_phi == 2 * rule.n_theta < 128
+        worst = 0.0
+        for mode, table in rule_clusters(two_s, seed=10 * two_s):
+            cluster = EvolvedCluster.build(spin, table, mode)
+            for t in rng.uniform(0.05, 6.0, 3):
+                rho = cluster.pair_density(t, (0, 1), spin.beta)
+                worst = max(worst, abs(povm_measure_and_classical_info(rho, spin, rule)
+                                       - povm_measure_and_classical_info(rho, spin, ref)))
+        assert worst <= 1e-14, (p, worst)
+
+
+def test_povm_rule_resolves_the_identity_for_every_spin():
+    # exact in exact arithmetic (n_theta > S, n_phi >= 2S + 1); what is left
+    # is the amplitudes' roundoff, which grows with 2S to ~1e-13 at 2S = 35-40,
+    # as at 64 x 128 (9e-14 at 2S = 40)
+    for two_s in range(1, 41):
+        spin = SpinParams(two_s, beta=1e-3)
+        assert scs_completeness_check(spin, SphereQuadrature.for_spin(spin)) <= 2e-13, two_s
+
+
+def test_quadrature_cap():
+    # orders over the cap are refused before leggauss builds its n_theta^2
+    # matrix or any node array exists
+    for n_theta, n_phi in ((100000, 1), (257, 1), (128, 1024), (2**20, 2**20)):
+        with pytest.raises(InvalidSpecError, match="cap"):
+            SphereQuadrature(n_theta, n_phi)
+    assert SphereQuadrature(256, 256).n_theta == 256
+    # the rule refuses rather than run a coarser order
+    with pytest.raises(QuadratureTooLargeError, match="cap"):
+        SphereQuadrature.for_spin(SpinParams(1, beta=1.0 - 1e-5))
+    with pytest.raises(BetaTooLargeError):
+        SphereQuadrature.for_spin(SpinParams(2, beta=0.5))
 
 
 def test_povm_matches_closed_form_and_additivity(quad):
