@@ -13,9 +13,7 @@ import argparse
 import copy
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -355,12 +353,10 @@ def _run_oracle_compare(cfg: RunConfig, out_dir: Path):
         disc.append(abs(ex / an - 1.0) if an > 0 else np.nan)
     order = math.log2(disc[0] / disc[1]) if disc[1] > 0 else float("nan")
 
-    imask = i_analytic > floor
-    jmask = j_analytic > floor
     lines = [
         f"max |F_oracle - F_analytic| = {np.max(np.abs(f_oracle - f_analytic)):.3e}",
-        f"max rel |I_oracle/I_analytic - 1| = {np.max(np.abs(i_oracle[imask] / i_analytic[imask] - 1.0)):.3e}",
-        f"max rel |J_oracle/J_analytic - 1| = {np.max(np.abs(j_oracle[jmask] / j_analytic[jmask] - 1.0)):.3e}",
+        f"max rel |I_oracle/I_analytic - 1| = {_max_rel(i_oracle, i_analytic, floor):.3e}",
+        f"max rel |J_oracle/J_analytic - 1| = {_max_rel(j_oracle, j_analytic, floor):.3e}",
         f"high-T discrepancy order (beta -> beta/2 at t = {fmt(t_mid)}): {order:.2f}",
         f"Q/I target {target_name} = {fmt(target)}",
     ]
@@ -369,12 +365,20 @@ def _run_oracle_compare(cfg: RunConfig, out_dir: Path):
     return [path], lines
 
 
+def _max_rel(oracle_values, analytic, floor: float) -> float:
+    """max |oracle/analytic - 1| where analytic exceeds floor; nan, as in the
+    CSV's Q/I, where no grid time does (e.g. an uncoupled pair)."""
+    above = analytic > floor
+    if not above.any():
+        return math.nan
+    return float(np.max(np.abs(oracle_values[above] / analytic[above] - 1.0)))
+
+
 def _run_dipolar_memory(cfg: RunConfig, out_dir: Path):
     oracle._beta_guard(cfg.spin, 2, cfg.spin.beta)
     spin, table, moments = cfg.spin, cfg.table, cfg.moments
     i, j = cfg.pair
-    # validation resolves the moments, so the lattice sum is not needed here
-    hier = memory.vk_from_moments(spin, 0.0, moments, closure=cfg.closure)
+    hier = memory.vk_from_moments(moments, closure=cfg.closure)
     if cfg.hierarchy_k < hier.K:
         hier = memory.Hierarchy(vk2=hier.vk2[: cfg.hierarchy_k + 1], closure=cfg.closure)
     sol = memory.solve_amplitudes(hier, cfg.grid, k_ext=cfg.k_ext)
@@ -414,14 +418,6 @@ def _povm_point(two_s: int, beta: float, b: float, orders) -> tuple[float, float
 
 def _run_povm_validate(cfg: RunConfig, out_dir: Path):
     b = float(cfg.table.b[cfg.pair])
-    workers = _thread_count()
-    point = lambda ts: _povm_point(ts, cfg.spin.beta, b, cfg.quadrature)  # noqa: E731
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(point, cfg.spin_sweep))
-    else:
-        results = [point(ts) for ts in cfg.spin_sweep]
-
     n_theta, n_phi = cfg.quadrature
     if n_theta is None:
         quad = f"per spin: n_theta = {oracle.QUADRATURE_RULE}, n_phi = {n_phi or '2 n_theta'}"
@@ -430,7 +426,8 @@ def _run_povm_validate(cfg: RunConfig, out_dir: Path):
     rows = []
     lines = [f"quadrature {quad}, pair coupling b = {fmt(b)}",
              "  two_s    Q/I (oracle)    Q/I target      |err|    completeness"]
-    for two_s, (ratio, dev) in zip(cfg.spin_sweep, results):
+    for two_s in cfg.spin_sweep:
+        ratio, dev = _povm_point(two_s, cfg.spin.beta, b, cfg.quadrature)
         target = 1.0 / (two_s / 2.0 + 1.0)
         rows.append((two_s, ratio, target, abs(ratio - target), dev))
         lines.append(f"  {two_s:5d}  {ratio:14.9f}  {target:12.9f}  {abs(ratio - target):9.2e}  {dev:11.2e}")
@@ -472,18 +469,6 @@ def run(cfg: RunConfig, out_dir=None) -> dict:
                                       coupling_rows(cfg.table)))
     return {"mode": cfg.mode, "defaults": cfg.applied_defaults,
             "lines": lines, "files": [str(p) for p in files]}
-
-
-def _thread_count() -> int:
-    """Sweep workers from SPINFID_NUM_THREADS (default 1)."""
-    raw = os.environ.get("SPINFID_NUM_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ConfigError(f"SPINFID_NUM_THREADS must be a positive integer, got {raw!r}")
-    return n
 
 
 def main(argv=None) -> int:

@@ -111,17 +111,12 @@ def dipolar_m2(spin: SpinParams, sum_b2: float) -> float:
     return 3.0 * spin.casimir * sum_b2
 
 
-def vk_from_moments(spin: SpinParams, sum_b2: float, moments: MomentSet | None = None,
-                    closure: str = "gaussian_tail") -> Hierarchy:
+def vk_from_moments(moments: MomentSet, closure: str = "gaussian_tail") -> Hierarchy:
     """Chain coefficients v_0^2, v_1^2, v_2^2 from spectral moments.
 
-    When ``moments`` is omitted, m2 defaults to the dipolar lattice value
-    3 S(S+1) sum_b2 with Gaussian-ratio m4, m6 (the lattice-specific
-    higher moments are inputs, not derived here). When given, moments are
-    used verbatim, so Ising-limit moment sets feed through unchanged.
+    The moments are used verbatim, so Ising-limit moment sets feed through
+    unchanged.
     """
-    if moments is None:
-        moments = MomentSet.gaussian(dipolar_m2(spin, sum_b2))
     m2, m4, m6 = moments.m2, moments.m4, moments.m6
     v0 = m2
     v1 = (m4 - m2**2) / m2

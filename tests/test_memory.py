@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from spinfid.cli import validate_config
 from spinfid.core import SpinParams, TimeGrid
 from spinfid.errors import ClusterTooLargeError, InvalidSpecError, NonPhysicalMomentsError
 from spinfid.ising import fid_gaussian, moments_zz
@@ -33,19 +34,22 @@ HALF = SpinParams(two_s=1, beta=1e-3)
 
 def test_gaussian_moments_give_linear_chain():
     m2 = 1.7
-    h = vk_from_moments(HALF, 0.0, MomentSet.gaussian(m2))
+    h = vk_from_moments(MomentSet.gaussian(m2))
     assert h.vk2 == pytest.approx((m2, 2 * m2, 3 * m2), rel=1e-13)
 
 
 def test_delta_line_truncates():
-    h = vk_from_moments(HALF, 0.0, MomentSet(m2=2.0, m4=4.0, m6=8.0))
+    h = vk_from_moments(MomentSet(m2=2.0, m4=4.0, m6=8.0))
     assert h.vk2 == (2.0, 0.0)
     assert h.closure == "truncate_zero"
 
 
 def test_default_moments_use_dipolar_m2():
-    h = vk_from_moments(HALF, 1.0)
-    assert h.vk2[0] == pytest.approx(9.0 / 4.0, rel=1e-15)
+    # the config owns the default: the probe's dipolar m2 with a Gaussian
+    # line's m4 and m6; the default pair (0, 1) has sum_j b_0j^2 = 1
+    moments = validate_config({"mode": "dipolar_memory"}).moments
+    assert moments == MomentSet.gaussian(dipolar_m2(HALF, 1.0))
+    assert vk_from_moments(moments).vk2[0] == pytest.approx(9.0 / 4.0, rel=1e-15)
     assert dipolar_m2(HALF, 1.0) == pytest.approx(2.25)
 
 
@@ -219,7 +223,7 @@ def test_ising_gaussian_moments_reproduce_gaussian_fid():
     sum_b2 = 1.4
     m2, _, m4g = moments_zz(spin, sum_b2, 0.0)
     moments = MomentSet(m2=m2, m4=m4g, m6=15.0 * m2**3)
-    h = vk_from_moments(spin, sum_b2, moments)
+    h = vk_from_moments(moments)
     g = grid(2.5 / np.sqrt(m2), 81)
     sol = solve_amplitudes(h, g, k_ext=32)
     np.testing.assert_allclose(sol.a[0], fid_gaussian(spin, sum_b2, g.times), atol=1e-4)

@@ -1,6 +1,8 @@
 """Exact-simulation oracle: operators, evolution, reduction, measurement."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 
 import numpy as np
@@ -762,6 +764,30 @@ def test_povm_quadrature_guard():
     rho = DensityMatrix(entries=np.eye(25) / 25)
     with pytest.raises(QuadratureTooCoarseError):
         povm_measure_and_classical_info(rho, spin, coarse)
+
+
+def test_povm_shared_caches_are_safe_under_threads(quad):
+    # library callers may measure from several threads, which share the
+    # module-level node and amplitude caches: start them empty and switch
+    # threads often, so that the workers race to fill them
+    cases = []
+    for two_s in (1, 2, 3, 4):
+        spin = SpinParams(two_s, beta=1e-3)
+        rho = EvolvedCluster.build(spin, PAIR, "ising").pair_density(0.05, (0, 1), spin.beta)
+        cases += [(rho, spin, SphereQuadrature.for_spin(spin)), (rho, spin, quad)]
+    results = []
+    for workers in (1, 4):
+        oracle._sphere_nodes.cache_clear()
+        oracle._scs_basis.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results.append(list(pool.map(lambda case: povm_measure_and_classical_info(*case),
+                                             cases)))
+        finally:
+            sys.setswitchinterval(interval)
+    assert results[0] == results[1]
 
 
 def rule_clusters(two_s, seed):
