@@ -220,20 +220,22 @@ def poly_in_sin2(coeffs, x):
 def scs_overlaps(rho4, amps):
     """Partial inner products <v_n| rho |v_n> over the first spin.
 
-    rho4 is the pair matrix reshaped (d, d, d, d); amps is (n, d). Returns
-    the stack of d x d matrices over the second spin, one per state, as an
-    (n, d, d) view of a (d, d, n) array: M_ce(n) = sum_ab rho_acbe W_ab(n)
-    with W_ab(n) = conj(c_na) c_nb is the GEMM R @ W of
-    R = rho4.transpose(1, 3, 0, 2) as a d^2 x d^2 matrix, one per chunk
-    of _CHUNK states.
+    rho4 is the pair matrix reshaped (d, d, d, d), or a stack of T of them
+    (T, d, d, d, d); amps is (n, d). Returns the d x d matrices over the
+    second spin, one per member and state, member-major, as a (T n, d, d)
+    view of a (d, d, T n) array: M_ce(n) = sum_ab rho_acbe W_ab(n) with
+    W_ab(n) = conj(c_na) c_nb is the GEMM R @ W of R =
+    rho4.transpose(1, 3, 0, 2) as a d^2 x d^2 matrix, one per member and
+    chunk of _CHUNK states.
     """
     n, d = amps.shape
-    r = rho4.transpose(1, 3, 0, 2).reshape(d * d, d * d)
-    out = np.empty((d * d, n), dtype=complex)
+    r = rho4.reshape(-1, d, d, d, d).transpose(0, 2, 4, 1, 3).reshape(-1, d * d, d * d)
+    out = np.empty((d * d, len(r), n), dtype=complex)
     for lo in range(0, n, _CHUNK):
         a = np.ascontiguousarray(amps[lo:lo + _CHUNK].T)
-        out[:, lo:lo + _CHUNK] = r @ (a.conj()[:, None] * a[None]).reshape(d * d, -1)
-    return out.reshape(d, d, n).transpose(2, 0, 1)
+        np.matmul(r, (a.conj()[:, None] * a[None]).reshape(d * d, -1),
+                  out=out[:, :, lo:lo + _CHUNK].transpose(1, 0, 2))
+    return out.reshape(d, d, -1).transpose(2, 0, 1)
 
 
 def _abs2(z):

@@ -19,6 +19,14 @@ blocks (the symmetry-block method of QuSpin, Weinberg & Bukov, SciPost
 Phys. 2, 003, 2017). An Ising H is already diagonal in the product basis,
 where D(t)[x, y] = S_x[x, y] exp(-i (E_x - E_y) t), and no ``eigh`` runs.
 
+Nothing but the phases depends on the time, so the pair reduction takes a
+whole time grid in one call: ``pair_density`` given an array of times
+selects the entries of D(t) that survive the partial trace once and returns
+a stack of pair states. ``DensityMatrix`` holds one state or such a stack,
+and ``entropy_exact``, ``mutual_info_numeric`` and the POVM score either,
+returning a float for one state and an array for a stack. The orthogonal
+measurement's direction search takes one state per call.
+
 The coherent-state POVM integrates the entropy of one conditional d x d
 state per quadrature node. ``SphereQuadrature.for_spin`` sizes the rule by
 the spin and its polarization: 200 nodes for spin 1/2 and 288 for spin 1
@@ -63,6 +71,9 @@ HAMILTONIAN_MODES = ("ising", "dipolar")
 
 _HERM_TOL = 1e-12
 _EIG_FLOOR = -1e-8
+# time x line entries per chunk of the Ising pair reduction: bounds its
+# temporaries to a few 64 kB arrays, whatever the number of times
+_LINE_CHUNK = 4096
 
 # axis search: the (theta, phi) orders of the coarse scan, the step
 # offsets of the eight compass neighbours, and the step (rad) at which the
@@ -136,23 +147,28 @@ def build_spin_operators(spin: SpinParams) -> SpinOperators:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Dense Hermitian unit-trace matrix with lightweight validation."""
+    """Dense Hermitian unit-trace matrix with lightweight validation.
+
+    ``entries`` holds one (n, n) state or a (T, n, n) stack of T >= 1
+    states; the Hermiticity and trace checks apply to every member.
+    """
 
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         mat = np.asarray(self.entries, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise InvalidSpecError("density matrix must be square")
-        if np.max(np.abs(mat - mat.conj().T)) > _HERM_TOL:
+        if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2] or mat.size == 0:
+            raise InvalidSpecError("density matrix must be square, or a nonempty stack of "
+                                   "square matrices")
+        if np.max(np.abs(mat - np.swapaxes(mat, -1, -2).conj())) > _HERM_TOL:
             raise NonPhysicalStateError("density matrix is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > _HERM_TOL:
+        if np.max(np.abs(np.trace(mat, axis1=-2, axis2=-1).real - 1.0)) > _HERM_TOL:
             raise NonPhysicalStateError("density matrix trace differs from 1")
         object.__setattr__(self, "entries", mat)
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
 
 def _site_indices(d: int, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
@@ -319,24 +335,25 @@ class EvolvedCluster:
     def n_sites(self) -> int:
         return self.table.n_sites
 
-    def _evolved_blocks(self, t: float):
-        """Each block of exp(-iHt) S_x exp(iHt) in the product basis, with its
-        row and column indices; the conjugate transposes are not listed."""
-        for k, ((rows, cols), (e_r, e_c), blk) in enumerate(
-                zip(self.index, self.energies, self.sx_blocks)):
-            mat = np.exp(-1j * t * e_r) * blk * np.exp(1j * t * e_c)
-            if self.vecs is not None:
-                # two real products: faster than one complex-by-real product
-                v_r, v_c = self.vecs[k]
-                mat = v_r @ mat.real @ v_c.T + 1j * (v_r @ mat.imag @ v_c.T)
-            yield rows, cols, mat
+    def _evolved_block(self, k: int, t: float) -> np.ndarray:
+        """Block k of exp(-iHt) S_x exp(iHt) in the product basis, at the
+        rows and columns of ``index[k]``; its conjugate transpose is not
+        formed."""
+        (e_r, e_c), blk = self.energies[k], self.sx_blocks[k]
+        mat = _phased(blk, e_r, e_c, t)
+        if self.vecs is not None:
+            # two real products: faster than one complex-by-real product
+            v_r, v_c = self.vecs[k]
+            mat = v_r @ mat.real @ v_c.T + 1j * (v_r @ mat.imag @ v_c.T)
+        return mat
 
     def deviation(self, t: float) -> np.ndarray:
         """Evolved transverse magnetization exp(-iHt) S_x exp(iHt), dense in
         the product basis."""
         dim = self.spin.d ** self.n_sites
         dev = np.zeros((dim, dim), dtype=complex)
-        for rows, cols, mat in self._evolved_blocks(t):
+        for k, (rows, cols) in enumerate(self.index):
+            mat = self._evolved_block(k, t)
             dev[rows, cols] = mat
             dev[cols.T, rows.T] = mat.T.conj()
         return dev
@@ -354,13 +371,26 @@ class EvolvedCluster:
             freqs.append((e_r - e_c)[keep])
         return K.cos_sum(np.concatenate(weights), np.concatenate(freqs), grid.times) / norm
 
-    def pair_deviation(self, t: float, pair: tuple[int, int]) -> np.ndarray:
+    def pair_deviation(self, t: float | np.ndarray, pair: tuple[int, int]) -> np.ndarray:
         """Reduced deviation matrix: the pair state is (1 + beta D)/d^2.
 
-        The trace over the other sites is taken block by block: an entry
-        of D(t) contributes only where its row and column states agree on
-        every site outside the pair. The dense D(t) is never formed.
+        t is one time, which gives one (d^2, d^2) matrix, or a 1-D array of
+        times, which gives a (T, d^2, d^2) stack. An entry of D(t)
+        contributes only where its row and column states agree on every site
+        outside the pair. Which entries those are, and the pair-space slot
+        each one lands in, does not depend on t: the selection is built once
+        per call and serves every time. The dense D(t) is never formed.
+
+        - Ising: the surviving entries are the S_x nonzeros that flip site i
+          or j, 2/N of them. Only those are evolved, for all times at once in
+          chunks of _LINE_CHUNK time x line entries, and binned by time and
+          slot.
+        - Dipolar: each block is rotated into the product basis once per
+          time, as in ``deviation``, and its surviving entries are binned.
         """
+        times = np.asarray(t, dtype=float)
+        if times.ndim > 1:
+            raise InvalidSpecError("t must be one time or a 1-D array of times")
         i, j = pair
         if i == j:
             raise InvalidPairError("pair indices must differ")
@@ -372,21 +402,49 @@ class EvolvedCluster:
         inner = k[i] * d + k[j]
         outer = np.arange(k.shape[1]) - k[i] * strides[i] - k[j] * strides[j]
         size = d**4
-        reduced = np.zeros(size, dtype=complex)
-        for rows, cols, mat in self._evolved_blocks(t):
+        flat = times.ravel()
+        reduced = np.zeros((flat.size, size), dtype=complex)
+        for b, (rows, cols) in enumerate(self.index):
             same = outer[rows] == outer[cols]
             slot = (inner[rows] * d**2 + inner[cols])[same]
-            kept = mat[same]
-            reduced += (np.bincount(slot, kept.real, size)
-                        + 1j * np.bincount(slot, kept.imag, size))
-        reduced = reduced.reshape(d**2, d**2)
-        return (reduced + reduced.conj().T) / d ** (self.n_sites - 2)
+            if self.vecs is None:
+                (e_r, e_c), blk = self.energies[b], self.sx_blocks[b]
+                e_r, e_c, blk = e_r[same], e_c[same], blk[same]
+                step = max(1, _LINE_CHUNK // slot.size)
+                for lo in range(0, flat.size, step):
+                    tc = flat[lo:lo + step, None]
+                    kept = _phased(blk, e_r, e_c, tc)
+                    bins = (np.arange(tc.size)[:, None] * size + slot).ravel()
+                    width = tc.size * size
+                    reduced[lo:lo + step] += (
+                        np.bincount(bins, kept.real.ravel(), width)
+                        + 1j * np.bincount(bins, kept.imag.ravel(), width)).reshape(-1, size)
+            else:
+                for n, tn in enumerate(flat):
+                    kept = self._evolved_block(b, tn)[same]
+                    reduced[n] += (np.bincount(slot, kept.real, size)
+                                   + 1j * np.bincount(slot, kept.imag, size))
+        reduced = reduced.reshape(times.shape + (d**2, d**2))
+        return (reduced + np.swapaxes(reduced, -1, -2).conj()) / d ** (self.n_sites - 2)
 
-    def pair_density(self, t: float, pair: tuple[int, int], beta: float) -> DensityMatrix:
+    def pair_density(self, t: float | np.ndarray, pair: tuple[int, int],
+                     beta: float) -> DensityMatrix:
+        """The pair state (1 + beta D(t))/d^2: one state for one time, a stack
+        for a 1-D array of times (see ``pair_deviation``)."""
         _beta_guard(self.spin, 2, beta)
-        dev = self.pair_deviation(t, pair)
-        d2 = self.spin.d ** 2
-        return DensityMatrix(entries=(np.eye(d2) + beta * dev) / d2)
+        return _pair_state(self.pair_deviation(t, pair), beta)
+
+
+def _phased(blk: np.ndarray, e_r: np.ndarray, e_c: np.ndarray, t) -> np.ndarray:
+    """exp(-i t e_r) blk exp(i t e_c), elementwise and broadcasting: the
+    evolution of S_x entries between states of energies e_r and e_c."""
+    return np.exp(-1j * t * e_r) * blk * np.exp(1j * t * e_c)
+
+
+def _pair_state(dev: np.ndarray, beta: float) -> DensityMatrix:
+    """(1 + beta dev)/d^2 for one reduced deviation or a stack of them."""
+    d2 = dev.shape[-1]
+    return DensityMatrix(entries=(np.eye(d2) + beta * dev) / d2)
 
 
 def _beta_guard(spin: SpinParams, n_sites: int, beta: float) -> None:
@@ -396,28 +454,33 @@ def _beta_guard(spin: SpinParams, n_sites: int, beta: float) -> None:
 
 
 def _marginals(mat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two one-site marginals of a d^2 x d^2 pair matrix."""
-    pair = mat.reshape(d, d, d, d)
-    return np.trace(pair, axis1=1, axis2=3), np.trace(pair, axis1=0, axis2=2)
+    """The two one-site marginals of a d^2 x d^2 pair matrix, or of each
+    member of a stack of them."""
+    pair = mat.reshape(mat.shape[:-2] + (d, d, d, d))
+    return np.trace(pair, axis1=-3, axis2=-1), np.trace(pair, axis1=-4, axis2=-2)
 
 
-def entropy_exact(rho: DensityMatrix) -> float:
-    """Eigenvalue-based von Neumann entropy in bits (0 log 0 = 0)."""
+def entropy_exact(rho: DensityMatrix):
+    """Eigenvalue-based von Neumann entropy in bits (0 log 0 = 0, and a
+    negative eigenvalue above _EIG_FLOOR counts as 0): a float for one
+    state, an array for a stack."""
     w = np.linalg.eigvalsh(rho.entries)
-    if w[0] < _EIG_FLOOR:
-        raise NonPhysicalStateError(f"negative eigenvalue {w[0]:.3e}")
-    w = w[w > 0.0]
-    return float(-np.sum(w * np.log2(w)))
+    low = float(np.min(w[..., 0]))
+    if low < _EIG_FLOOR:
+        raise NonPhysicalStateError(f"negative eigenvalue {low:.3e}")
+    ent = -np.sum(w * np.log2(w, where=w > 0.0, out=np.zeros_like(w)), axis=-1)
+    return float(ent) if ent.ndim == 0 else ent
 
 
-def mutual_info_numeric(rho12: DensityMatrix) -> float:
+def mutual_info_numeric(rho12: DensityMatrix):
     """Exact pair mutual information S(rho1) + S(rho2) - S(rho12) in bits.
 
-    Both members have the same dimension d, so rho12 is d^2 x d^2.
+    Both members have the same dimension d, so rho12 is d^2 x d^2. A float
+    for one state, an array for a stack.
     """
     mat = rho12.entries
-    d = math.isqrt(mat.shape[0])
-    if d * d != mat.shape[0]:
+    d = math.isqrt(rho12.dim)
+    if d * d != rho12.dim:
         raise InvalidSpecError("pair matrix dimension is not a perfect square")
     rho1, rho2 = _marginals(mat, d)
     return (
@@ -456,6 +519,8 @@ def classical_info_von_neumann(rho12: DensityMatrix) -> tuple[float, np.ndarray]
     _AXIS_STEP rad. Every axis is scored by ``_axis_info``. Returns
     (classical info, best direction).
     """
+    if rho12.entries.ndim != 2:
+        raise InvalidSpecError("the direction search takes one state, not a stack")
     if rho12.dim != 4:
         raise UnsupportedSpinError("direction search is implemented for a spin-1/2 pair (dim 4)")
     rho4 = rho12.entries.reshape(2, 2, 2, 2)
@@ -581,14 +646,19 @@ def scs_completeness_check(spin: SpinParams, quadrature: SphereQuadrature) -> fl
 
 
 def povm_measure_and_classical_info(rho12: DensityMatrix, spin: SpinParams,
-                                    quadrature: SphereQuadrature) -> float:
-    """Classical information extracted by the coherent-state POVM (bits).
+                                    quadrature: SphereQuadrature):
+    """Classical information extracted by the coherent-state POVM (bits):
+    a float for one state, an array for a stack.
 
     Computed as S(rho2) - integral of p(Omega) S(rho2|Omega), with the
     angle density p(Omega) = (d/4pi) Tr <Omega|rho12|Omega> and the
     normalized conditional d x d states of spin 2: the angle entropy
     cancels identically between the joint and marginal terms, so the
-    quadrature reference constants drop out exactly.
+    quadrature reference constants drop out exactly. The conditional states
+    of a stack are formed for as many members at a time as keep the rows
+    (member x node) within _kernels._CHUNK, one member at a time when the
+    nodes alone exceed it, and each such batch takes one
+    ``entropy_norm_batch`` call.
     """
     d = spin.d
     if rho12.dim != d * d:
@@ -598,9 +668,15 @@ def povm_measure_and_classical_info(rho12: DensityMatrix, spin: SpinParams,
     if dev > _COMPLETENESS_TOL:
         raise QuadratureTooCoarseError(
             f"completeness deviation {dev:.3e} exceeds {_COMPLETENESS_TOL:.1e}")
-    mats = K.scs_overlaps(rho12.entries.reshape(d, d, d, d), amps)
-    traces, cond_entropy = K.entropy_norm_batch(mats)
-    density = d / (4.0 * np.pi) * traces
-    s2 = entropy_exact(DensityMatrix(entries=_marginals(rho12.entries, d)[1]))
     weights = _sphere_nodes(quadrature.n_theta, quadrature.n_phi)[2]
-    return float(s2 - np.sum(weights * density * cond_entropy))
+    rho4 = rho12.entries.reshape(-1, d, d, d, d)
+    step = max(1, K._CHUNK // weights.size)
+    cond_info = np.empty(len(rho4))
+    for lo in range(0, len(rho4), step):
+        traces, cond_entropy = K.entropy_norm_batch(K.scs_overlaps(rho4[lo:lo + step], amps))
+        density = d / (4.0 * np.pi) * traces.reshape(-1, weights.size)
+        cond_info[lo:lo + step] = np.sum(
+            weights * density * cond_entropy.reshape(density.shape), axis=-1)
+    s2 = entropy_exact(DensityMatrix(entries=_marginals(rho12.entries, d)[1]))
+    info = s2 - cond_info.reshape(rho12.entries.shape[:-2])
+    return float(info) if info.ndim == 0 else info

@@ -196,6 +196,10 @@ def test_scs_overlaps_match_definition(d):
     amps = rng.normal(size=(K._CHUNK + 3, d)) + 1j * rng.normal(size=(K._CHUNK + 3, d))
     ref = np.einsum("na,acbe,nb->nce", amps.conj(), rho4, amps)
     np.testing.assert_allclose(K.scs_overlaps(rho4, amps), ref, rtol=0, atol=1e-12)
+    # a stack gives each member's matrices in turn, bit for bit
+    stack = np.stack([rho4, rho4.conj(), 2.0 * rho4])
+    np.testing.assert_array_equal(K.scs_overlaps(stack, amps),
+                                  np.concatenate([K.scs_overlaps(r, amps) for r in stack]))
 
 
 # -- entropy_norm_batch ---------------------------------------------------------------

@@ -241,13 +241,19 @@ def test_three_equivalent_spins_fid_is_cos_squared():
 @pytest.mark.parametrize("n", [11, 12])
 def test_open_ising_chain_matches_lattice_fid(n):
     # open nearest-neighbour chain of unequal couplings, dim 2048 and, at
-    # n = 12, exactly the guard; FID only, since one pair reduction at
-    # dim 4096 holds several dense complex 256 MB temporaries
+    # n = 12, exactly the guard: the FID, and the (0, 1) pair reduction over
+    # the whole grid, where site 0 has no outside neighbour and site 1 one
     b = np.diag(np.linspace(0.5, 1.5, n - 1), 1)
     table = CouplingTable(b=b + b.T)
     grid = TimeGrid.linspace(6.0, 61)
-    fid = EvolvedCluster.build(HALF, table, "ising").fid(grid)
-    np.testing.assert_allclose(fid, fid_zz_lattice(HALF, table, grid.times), rtol=0, atol=1e-10)
+    cluster = EvolvedCluster.build(HALF, table, "ising")
+    np.testing.assert_allclose(cluster.fid(grid), fid_zz_lattice(HALF, table, grid.times),
+                               rtol=0, atol=1e-10)
+    b01, b12 = table.b[0, 1], table.b[1, 2]
+    expect = [pair_deviation_matrix(HALF, b01, t, env_i=1.0,
+                                    env_j=coupling_fid_factor(HALF, b12, t)) for t in grid.times]
+    np.testing.assert_allclose(cluster.pair_deviation(grid.times, (0, 1)), expect,
+                               rtol=0, atol=1e-12)
 
 
 def test_fid_beta_independent_by_construction():
@@ -515,7 +521,62 @@ def test_oracle_pair_reduction_asymmetric_environments():
     np.testing.assert_allclose(dev, expect, atol=1e-12)
 
 
+@pytest.mark.parametrize("mode, two_s, n", [("ising", 1, 10), ("ising", 2, 6), ("ising", 3, 5),
+                                            ("dipolar", 1, 6), ("dipolar", 2, 4),
+                                            ("dipolar", 3, 3)])
+def test_pair_density_over_times_equals_per_time_calls(mode, two_s, n):
+    # a 1-D array of times gives the stack of the one-time states, bit for
+    # bit; the Ising rings (dim 1024) take several chunks of times
+    spin = SpinParams(two_s)
+    cluster = EvolvedCluster.build(spin, circulant_couplings(n, seed=n), mode)
+    times = TimeGrid.linspace(6.0, 41).times
+    for pair in ((0, 1), (2, 0)):
+        stack = cluster.pair_density(times, pair, spin.beta).entries
+        assert stack.shape == (41, spin.d**2, spin.d**2)
+        for k, t in enumerate(times):
+            assert np.array_equal(stack[k], cluster.pair_density(t, pair, spin.beta).entries)
+
+
 # -- entropy and mutual information ---------------------------------------------------
+
+@pytest.mark.parametrize("two_s", [1, 2, 3])
+def test_measures_of_a_stack_equal_per_state_values(two_s, quad):
+    # the rule's order batches several states per entropy_norm_batch call,
+    # 64 x 128 one state per call
+    spin = SpinParams(two_s)
+    cluster = EvolvedCluster.build(spin, circulant_couplings(4, seed=two_s), "ising")
+    states = [cluster.pair_density(t, (0, 1), spin.beta) for t in TimeGrid.linspace(6.0, 41).times]
+    stack = DensityMatrix(entries=np.stack([rho.entries for rho in states]))
+    info = mutual_info_numeric(stack)
+    assert info.shape == (41,)
+    assert np.array_equal(info, [mutual_info_numeric(rho) for rho in states])
+    for order in (SphereQuadrature.for_spin(spin), quad):
+        j = povm_measure_and_classical_info(stack, spin, order)
+        assert np.array_equal(j, [povm_measure_and_classical_info(rho, spin, order)
+                                  for rho in states])
+
+
+def test_density_stack_checks_every_member():
+    good = np.eye(4, dtype=complex) / 4
+    skew = good.copy()
+    skew[0, 1] = 1e-9
+    for bad in (skew, good * (1.0 + 1e-9)):
+        with pytest.raises(NonPhysicalStateError):
+            DensityMatrix(entries=np.stack([good, bad, good]))
+    # a Hermitian unit-trace member whose smallest eigenvalue is twice the floor
+    low = 2.0 * oracle._EIG_FLOOR
+    stack = DensityMatrix(entries=np.stack([good, np.diag([0.6, 0.4 - low, 0.0, low]), good]))
+    for measure in (entropy_exact, mutual_info_numeric):
+        with pytest.raises(NonPhysicalStateError, match="negative eigenvalue"):
+            measure(stack)
+
+
+def test_direction_search_takes_one_state():
+    cluster = EvolvedCluster.build(HALF, triangle(), "ising")
+    stack = cluster.pair_density(np.array([0.3, 0.6]), (0, 1), HALF.beta)
+    with pytest.raises(InvalidSpecError, match="one state"):
+        classical_info_von_neumann(stack)
+
 
 def test_entropy_pure_and_mixed():
     pure = np.zeros((4, 4), dtype=complex)

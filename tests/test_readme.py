@@ -12,8 +12,11 @@ def test_readme_python_blocks_run_in_order(capsys):
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
-    # the oracle cross-check prints I_oracle / I_analytic = 1 + O(beta^2)
+    # the oracle cross-check prints I_oracle / I_analytic = 1 + O(beta^2),
+    # and finds the same over the grid
     assert abs(float(capsys.readouterr().out) - 1.0) < 1e-2
+    assert namespace["ratios"].shape == (199,)
+    assert max(abs(namespace["ratios"] - 1.0)) < 1e-2
 
 
 def test_readme_key_table_lists_the_config_keys():
