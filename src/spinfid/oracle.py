@@ -19,6 +19,16 @@ blocks (the symmetry-block method of QuSpin, Weinberg & Bukov, SciPost
 Phys. 2, 003, 2017). An Ising H is already diagonal in the product basis,
 where D(t)[x, y] = S_x[x, y] exp(-i (E_x - E_y) t), and no ``eigh`` runs.
 
+A dipolar H and S_x are also invariant under the global spin flip m -> -m
+(the spin-inversion symmetry of Sandvik, AIP Conf. Proc. 1297, 135
+(2010)). In the product basis it is F x = dim - 1 - x, and it maps sector
+q onto sector Q - q, Q = N (d - 1), with the basis order reversed. So
+H_{Q-q} is H_q with rows and columns reversed, and its eigenvectors are
+V_q with rows reversed: ``eigh`` runs only on sectors q <= Q/2, and only
+the links (adjacent-sector S_x blocks) q <= Q - 1 - q are rotated and held,
+each standing also for its mirror link Q - 1 - q. The flip is exact and
+uses nothing of the closed forms.
+
 Nothing but the phases depends on the time, so the pair reduction takes a
 whole time grid in one call: ``pair_density`` given an array of times
 selects the entries of D(t) that survive the partial trace once and returns
@@ -258,16 +268,17 @@ def _mz_sectors(d: int, n_sites: int) -> list[np.ndarray]:
 
 
 def _sector_blocks(sectors: list[np.ndarray], rows: np.ndarray, cols: np.ndarray,
-                   vals: np.ndarray, shift: int) -> list[np.ndarray]:
-    """Dense blocks [q, q + shift] of a matrix given by its nonzeros, each
-    of which links a row in some sector q to a column in sector q + shift;
-    rows and columns of a block are in basis order, as in ``_mz_sectors``."""
+                   vals: np.ndarray, shift: int, count: int) -> list[np.ndarray]:
+    """Dense blocks [q, q + shift], q < count, of a matrix given by its
+    nonzeros, each of which links a row in some sector q to a column in
+    sector q + shift; rows and columns of a block are in basis order, as in
+    ``_mz_sectors``."""
     sector = np.empty(sum(s.size for s in sectors), dtype=int)
     place = np.empty_like(sector)
     for q, s in enumerate(sectors):
         sector[s], place[s] = q, np.arange(s.size)
     blocks = []
-    for q in range(len(sectors) - shift):
+    for q in range(count):
         blk = np.zeros((sectors[q].size, sectors[q + shift].size))
         mine = sector[rows] == q
         blk[place[rows[mine]], place[cols[mine]]] = vals[mine]
@@ -285,9 +296,15 @@ class EvolvedCluster:
     and of its conjugate transpose.
 
     - Dipolar: H conserves total M_z, so it is block diagonal over the
-      sectors of ``_mz_sectors``, and S_x links only sectors q and q + 1.
-      ``eigh`` runs on each sector, and each adjacent pair holds one dense
-      block B_q = V_q^T S_x[q, q+1] V_{q+1}. No dense dim x dim eigenvector
+      sectors q = 0..Q of ``_mz_sectors``, and S_x links only sectors q
+      and q + 1. Link q holds one dense block B_q = V_q^T S_x[q, q+1]
+      V_{q+1}. The spin flip F x = dim - 1 - x maps sector q onto sector
+      Q - q in reversed order and commutes with H and S_x, so
+      V_{Q-q} = V_q[::-1], and link Q - 1 - q is link q seen through F:
+      D(t)[F x, F y] = D(t)[x, y]. ``eigh`` runs on sectors q <= Q/2 only,
+      and only links q <= Q - 1 - q are held. Each is ``mirrored`` (it
+      stands also for link Q - 1 - q) except the middle link of an odd Q,
+      which F maps onto its own transpose. No dense dim x dim eigenvector
       matrix or rotated S_x is held.
     - Ising: H is diagonal in the product basis, so no diagonalization runs
       and there is no V. The one block is the list of nonzeros of the upper
@@ -306,6 +323,8 @@ class EvolvedCluster:
     # when H is diagonal in the product basis (Ising mode)
     vecs: tuple[tuple[np.ndarray, np.ndarray], ...] | None = field(repr=False)
     sx_blocks: tuple[np.ndarray, ...] = field(repr=False)
+    # per block: whether it stands also for its image under the spin flip
+    mirrored: tuple[bool, ...] = field(repr=False)
 
     @classmethod
     def build(cls, spin: SpinParams, table: CouplingTable, mode: str) -> "EvolvedCluster":
@@ -313,23 +332,29 @@ class EvolvedCluster:
         if mode == "ising":
             rows, cols, vals = _sx_nonzeros(spin, table.n_sites)
             return cls(spin=spin, table=table, mode=mode, index=((rows, cols),),
-                       energies=((diag[rows], diag[cols]),), vecs=None, sx_blocks=(vals,))
-        # H's sector blocks and S_x's adjacent-sector blocks are filled from
-        # their nonzeros; neither matrix is formed densely
+                       energies=((diag[rows], diag[cols]),), vecs=None, sx_blocks=(vals,),
+                       mirrored=(False,))
+        # H's sector blocks q <= Q/2 and S_x's links q <= Q - 1 - q are
+        # filled from their nonzeros; neither matrix is formed densely
         sectors = _mz_sectors(spin.d, table.n_sites)
+        top = len(sectors) - 1
         every = np.arange(diag.size)
         ham = _sector_blocks(sectors, np.concatenate([every, rows, cols]),
                              np.concatenate([every, cols, rows]),
-                             np.concatenate([diag, vals, vals]), shift=0)
-        sx = _sector_blocks(sectors, *_sx_nonzeros(spin, table.n_sites), shift=1)
+                             np.concatenate([diag, vals, vals]), shift=0, count=top // 2 + 1)
+        links = range((top + 1) // 2)
+        sx = _sector_blocks(sectors, *_sx_nonzeros(spin, table.n_sites), shift=1,
+                            count=len(links))
         eigs = [np.linalg.eigh(h) for h in ham]
-        links = range(len(sectors) - 1)
+        # sectors past Q/2 from their mirrors: the same energies, V reversed
+        eigs += [(w, v[::-1]) for w, v in reversed(eigs[:top + 1 - len(eigs)])]
         vecs = tuple((eigs[q][1], eigs[q + 1][1]) for q in links)
         return cls(spin=spin, table=table, mode=mode,
                    index=tuple(np.ix_(sectors[q], sectors[q + 1]) for q in links),
                    energies=tuple((eigs[q][0][:, None], eigs[q + 1][0][None, :]) for q in links),
                    vecs=vecs,
-                   sx_blocks=tuple(v_r.T @ blk @ v_c for (v_r, v_c), blk in zip(vecs, sx)))
+                   sx_blocks=tuple(v_r.T @ blk @ v_c for (v_r, v_c), blk in zip(vecs, sx)),
+                   mirrored=tuple(q != top - 1 - q for q in links))
 
     @property
     def n_sites(self) -> int:
@@ -354,20 +379,28 @@ class EvolvedCluster:
         dev = np.zeros((dim, dim), dtype=complex)
         for k, (rows, cols) in enumerate(self.index):
             mat = self._evolved_block(k, t)
-            dev[rows, cols] = mat
-            dev[cols.T, rows.T] = mat.T.conj()
+            places = [(rows, cols)]
+            if self.mirrored[k]:
+                # its mirror at the flipped states: D[F x, F y] = D[x, y]
+                places.append((dim - 1 - rows, dim - 1 - cols))
+            for r, c in places:
+                dev[r, c] = mat
+                dev[c.T, r.T] = mat.T.conj()
         return dev
 
     def fid(self, grid: TimeGrid) -> np.ndarray:
         """Normalized Tr{S_x rho(t)} / Tr{S_x rho(0)}; beta-independent."""
         weights, freqs, norm = [], [], 0.0
-        for (e_r, e_c), blk in zip(self.energies, self.sx_blocks):
+        for (e_r, e_c), blk, twice in zip(self.energies, self.sx_blocks, self.mirrored):
             w2 = blk**2
-            norm += 2.0 * float(np.sum(w2))  # Tr S_x^2: each block and its transpose
-            # each entry is one line of weight 2 w2; lines of weight <= 1e-18
-            # are dropped
+            # each entry is one line of weight 2 w2, for the block and its
+            # transpose; a mirrored block's mirror has the same lines at -omega,
+            # which the even cosine counts with them
+            copies = 4.0 if twice else 2.0
+            norm += copies * float(np.sum(w2))  # Tr S_x^2
+            # lines of weight 2 w2 <= 1e-18 are dropped
             keep = w2 > 1e-18 / 2
-            weights.append(2.0 * w2[keep])
+            weights.append(copies * w2[keep])
             freqs.append((e_r - e_c)[keep])
         return K.cos_sum(np.concatenate(weights), np.concatenate(freqs), grid.times) / norm
 
@@ -387,6 +420,8 @@ class EvolvedCluster:
           slot.
         - Dipolar: each block is rotated into the product basis once per
           time, as in ``deviation``, and its surviving entries are binned.
+          The spin flip maps pair slot s to d^4 - 1 - s, so a mirrored
+          block's mirror adds the same bins in reversed slot order.
         """
         times = np.asarray(t, dtype=float)
         if times.ndim > 1:
@@ -422,8 +457,9 @@ class EvolvedCluster:
             else:
                 for n, tn in enumerate(flat):
                     kept = self._evolved_block(b, tn)[same]
-                    reduced[n] += (np.bincount(slot, kept.real, size)
-                                   + 1j * np.bincount(slot, kept.imag, size))
+                    part = (np.bincount(slot, kept.real, size)
+                            + 1j * np.bincount(slot, kept.imag, size))
+                    reduced[n] += part + part[::-1] if self.mirrored[b] else part
         reduced = reduced.reshape(times.shape + (d**2, d**2))
         return (reduced + np.swapaxes(reduced, -1, -2).conj()) / d ** (self.n_sites - 2)
 

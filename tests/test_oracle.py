@@ -198,6 +198,42 @@ def test_dipolar_hamiltonian_is_block_diagonal_in_total_mz(two_s, n):
         np.testing.assert_array_equal(total_mz[states], n * spin.s - q)
 
 
+def flipped_entries(rows, cols, vals, dim):
+    """The symmetric entries (rows, cols, vals) and (cols, rows, vals) in
+    basis order, as they are and under the flip x -> dim - 1 - x."""
+    both = (np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+            np.concatenate([vals, vals]))
+
+    def in_order(r, c, v):
+        order = np.lexsort((c, r))
+        return r[order], c[order], v[order]
+
+    return in_order(*both), in_order(dim - 1 - both[0], dim - 1 - both[1], both[2])
+
+
+@pytest.mark.parametrize("mode", ["ising", "dipolar"])
+@pytest.mark.parametrize("two_s, n", [(1, 7), (2, 4), (3, 4)])
+def test_spin_flip_maps_every_entry_onto_itself(mode, two_s, n):
+    # the invariant the sector build's mirror rests on: F x = dim - 1 - x
+    # (m -> -m on every site) maps each entry of H and of S_x onto an entry
+    # of equal value, bit for bit, also for a flip-flop a != -b/2
+    spin = SpinParams(two_s)
+    dim = spin.d**n
+    diag, rows, cols, vals = oracle._hamiltonian_terms(spin, random_flipflop(n, seed=n), mode)
+    assert np.array_equal(diag[::-1], diag)
+    assert (rows.size > 0) == (mode == "dipolar")
+    for entries in ((rows, cols, vals), oracle._sx_nonzeros(spin, n)):
+        kept, flipped = flipped_entries(*entries, dim)
+        for a, b in zip(kept, flipped):
+            assert np.array_equal(a, b)
+    # sector q maps onto sector Q - q, in reversed basis order
+    sectors = oracle._mz_sectors(spin.d, n)
+    top = n * (spin.d - 1)
+    assert len(sectors) == top + 1
+    for q, states in enumerate(sectors):
+        np.testing.assert_array_equal(sectors[top - q], (dim - 1 - states)[::-1])
+
+
 @pytest.mark.parametrize("mode", ["ising", "dipolar"])
 def test_hamiltonian_at_dimension_guard(mode):
     # 12 spin-1/2 sites: d^N equals the guard exactly
@@ -440,21 +476,39 @@ def test_sector_fid_matches_dense_eigh(sector_case, grid):
     np.testing.assert_allclose(cluster.fid(grid)[at], ref, rtol=0, atol=1e-12)
 
 
+def base_array(a):
+    """The array that owns the memory a views."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
 def test_sector_deviation_matches_dense_eigh(sector_case):
     cluster, w, v, sx = sector_case
     spin, n = cluster.spin, cluster.n_sites
     dim = spin.d**n
+    top = n * (spin.d - 1)
     # per-sector storage only: no dense eigenvector matrix or rotated S_x,
-    # which together held 2 dim^2 entries (adjacent blocks share a sector's V)
-    sector_vecs = {id(vec): vec for pair in cluster.vecs for vec in pair}
+    # which together held 2 dim^2 entries. Adjacent links share a sector's
+    # V, and a sector past Q/2 is a reversed view of its mirror's, so
+    # eigh ran on sectors 0..Q/2 alone
+    sector_vecs = {id(base_array(vec)): base_array(vec) for pair in cluster.vecs for vec in pair}
+    assert len(sector_vecs) == top // 2 + 1
     stored = [*sector_vecs.values(), *cluster.sx_blocks]
     assert max(max(a.shape) for a in stored) < dim
-    assert sum(a.size for a in stored) < dim**2 / 2
+    # the flip halves what is held: sectors q <= Q/2 and links q <= Q - 1 - q
+    sizes = [s.size for s in oracle._mz_sectors(spin.d, n)]
+    held = (sum(m**2 for m in sizes[:top // 2 + 1])
+            + sum(sizes[q] * sizes[q + 1] for q in range((top + 1) // 2)))
+    assert sum(a.size for a in stored) == held < dim**2 / 4
+    assert cluster.mirrored == tuple(q != top - 1 - q for q in range((top + 1) // 2))
     for t in (0.37, 2.9):
         phase = np.exp(-1j * w * t)
         ref = v @ (phase[:, None] * sx * phase.conj()[None, :]) @ v.T
         np.testing.assert_allclose(cluster.deviation(t), ref, rtol=0, atol=1e-12)
-        for pair in ((0, 1), (2, 0)):
+        # pairs on both sides of the flip, which maps site order onto itself
+        # but pair slots s onto d^4 - 1 - s
+        for pair in ((0, 1), (2, 0), (n - 1, n - 2), (1, 0)):
             reduced = partial_trace(ref, [spin.d] * n, keep=pair) / spin.d ** (n - 2)
             np.testing.assert_allclose(cluster.pair_deviation(t, pair), reduced,
                                        rtol=0, atol=1e-12)
@@ -535,6 +589,24 @@ def test_pair_density_over_times_equals_per_time_calls(mode, two_s, n):
         assert stack.shape == (41, spin.d**2, spin.d**2)
         for k, t in enumerate(times):
             assert np.array_equal(stack[k], cluster.pair_density(t, pair, spin.beta).entries)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_dipolar_pair_reduction_sums_to_fid_at_guard_sizes(n):
+    # spin-1/2 dipolar rings of dim 2048 and 4096 (odd and even Q), where no
+    # dense reference fits: Tr(S_x D(t)) = sum_i Tr((S_x (x) 1) D_(i, i+1)(t))
+    # over the ring's nearest-neighbour pairs, each reduced deviation being
+    # the partial trace over the other n - 2 sites divided by d^(n - 2)
+    spin = HALF
+    cluster = EvolvedCluster.build(spin, circulant_couplings(n, seed=n), "dipolar")
+    times = np.array([0.8, 3.1])
+    sx_first = np.kron(build_spin_operators(spin).sx, np.eye(spin.d))
+    traced = sum(np.einsum("ab,tba->t", sx_first, cluster.pair_deviation(times, (i, (i + 1) % n)))
+                 for i in range(n))
+    vals = oracle._sx_nonzeros(spin, n)[2]
+    norm = 2.0 * float(np.sum(vals**2))  # Tr S_x^2
+    np.testing.assert_allclose(spin.d ** (n - 2) * traced / norm, cluster.fid(TimeGrid(times)),
+                               rtol=0, atol=1e-10)
 
 
 # -- entropy and mutual information ---------------------------------------------------
